@@ -53,7 +53,12 @@ from repro.core.sequence import SequenceDatabase
 from repro.patterns.closure import is_closed, is_closed_block
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
+from repro.rules.nonredundant_miner import NonRedundantRecurrentRuleMiner
+from repro.rules.redundancy import filter_redundant
+from repro.rules.rule import RecurrentRule
 
+from bench_serving import MINING_CONFIG as SERVING_MINING_CONFIG
+from bench_serving import _mining_corpus as serving_mining_corpus
 from conftest import append_bench_record, write_result
 
 SCALE = float(os.environ.get("REPRO_HOTPATH_SCALE", "1.0"))
@@ -285,3 +290,79 @@ def bench_hot_paths(benchmark):
             f"expected >=3x growth-loop speedup, got {growth['speedup']:.2f}x"
         )
         assert block_payload < tuple_payload
+
+
+class _UnfilteredMiner(NonRedundantRecurrentRuleMiner):
+    """The non-redundant miner without its final Definition 5.2 sweep: its
+    result is exactly the candidate list the sweep receives."""
+
+    apply_final_redundancy_filter = False
+
+
+def bench_rules_nonredundant(benchmark, monkeypatch):
+    """Non-redundant rule mining on the serving-bench corpus (~1,200 rules),
+    with the Definition 5.2 redundancy filter timed on its own."""
+    corpus = serving_mining_corpus()
+    # Best-of-N as above; the filter takes milliseconds, so it gets more runs.
+    mined, mine_seconds = _best_of(
+        5, lambda: NonRedundantRecurrentRuleMiner(SERVING_MINING_CONFIG).mine(corpus)
+    )
+    candidates = _UnfilteredMiner(SERVING_MINING_CONFIG).mine(corpus).rules
+    (kept, dropped), filter_seconds = _best_of(20, lambda: filter_redundant(candidates))
+    assert kept == mined.rules
+
+    predicate = RecurrentRule.is_redundant_with_respect_to
+    calls = 0
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return predicate(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RecurrentRule, "is_redundant_with_respect_to", counted)
+        filter_redundant(candidates)
+    benchmark.pedantic(filter_redundant, args=(candidates,), rounds=1, iterations=1)
+
+    filter_fraction = filter_seconds / mine_seconds
+    payload = {
+        "benchmark": "rules_nonredundant",
+        "workload": {
+            "sequences": len(corpus),
+            "events": corpus.total_events(),
+            "min_s_support": SERVING_MINING_CONFIG.min_s_support,
+            "min_confidence": SERVING_MINING_CONFIG.min_confidence,
+            "max_premise_length": SERVING_MINING_CONFIG.max_premise_length,
+            "max_consequent_length": SERVING_MINING_CONFIG.max_consequent_length,
+            "scale": SCALE,
+            "host_cpus": os.cpu_count(),
+        },
+        "mine_seconds": round(mine_seconds, 4),
+        "filter_seconds": round(filter_seconds, 4),
+        "filter_fraction": round(filter_fraction, 4),
+        "candidates": len(candidates),
+        "kept": len(kept),
+        "predicate_calls": calls,
+        # The whole non-redundant mine is what the regression gate watches.
+        "wall_clock_seconds": round(mine_seconds, 4),
+    }
+    append_bench_record(JSON_PATH, payload)
+    write_result(
+        "rules_nonredundant",
+        "\n".join(
+            [
+                f"workload: serving-bench corpus, {len(corpus)} sequences, "
+                f"{corpus.total_events()} events",
+                f"mine: {mine_seconds:.4f} s -> {len(kept)} rules "
+                f"({len(candidates)} candidates, {len(dropped)} redundant)",
+                f"redundancy filter: {filter_seconds:.4f} s "
+                f"({filter_fraction:.1%} of the mine), {calls} predicate calls",
+                f"json: {JSON_PATH.name}",
+            ]
+        ),
+    )
+
+    # The filter was ~90% of this mine while it tested every pair of a class.
+    assert filter_fraction <= 0.10, (
+        f"redundancy filter is {filter_fraction:.1%} of the mine, expected <= 10%"
+    )

@@ -62,13 +62,19 @@ class RecurrentRule:
     # ------------------------------------------------------------------ #
     # Redundancy (Definition 5.2)
     # ------------------------------------------------------------------ #
+    def statistics_key(self) -> Tuple[int, int, float]:
+        """The statistics class of the rule: s-support, i-support and the
+        confidence rounded to 12 places.
+
+        Rules can only make each other redundant within one class; the
+        redundancy filter groups by this key and :meth:`same_statistics`
+        compares it, so the two always agree.
+        """
+        return (self.s_support, self.i_support, round(self.confidence, 12))
+
     def same_statistics(self, other: "RecurrentRule") -> bool:
         """Whether both rules share s-support, i-support and confidence."""
-        return (
-            self.s_support == other.s_support
-            and self.i_support == other.i_support
-            and abs(self.confidence - other.confidence) < 1e-12
-        )
+        return self.statistics_key() == other.statistics_key()
 
     def is_redundant_with_respect_to(self, other: "RecurrentRule") -> bool:
         """Definition 5.2: is ``self`` made redundant by ``other``?
@@ -77,10 +83,9 @@ class RecurrentRule:
         concatenation of ``self`` is a subsequence of the concatenation of
         ``other``; when the concatenations are identical the rule with the
         longer premise is the redundant one (the tie-break retains the rule
-        with the shorter premise and longer consequent).
+        with the shorter premise and longer consequent).  A rule is never
+        redundant with respect to itself, nor to a copy of itself.
         """
-        if self.signature() == other.signature():
-            return False
         if not self.same_statistics(other):
             return False
         own, others = self.events, other.events

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis.compare import nonredundant_result_is_consistent
 from repro.core.errors import PatternError
+from repro.rules.redundancy import filter_redundant
+from repro.rules.result import RuleMiningResult
 from repro.rules.rule import RecurrentRule
 
 
@@ -35,6 +38,23 @@ def test_same_statistics():
     assert _rule(("a",), ("b",)).same_statistics(_rule(("a",), ("c",)))
     assert not _rule(("a",), ("b",), i=4).same_statistics(_rule(("a",), ("b",)))
     assert not _rule(("a",), ("b",), c=0.5).same_statistics(_rule(("a",), ("b",)))
+
+
+def test_same_statistics_agrees_with_the_filter_class_across_a_rounding_boundary():
+    # Less than 1e-12 apart, but on either side of a 12th-place rounding
+    # boundary: the two confidences fall in different statistics classes.
+    boundary = 0.2500000000005
+    low = _rule(("a",), ("c",), c=boundary - 3e-14)
+    high = _rule(("a",), ("b", "c"), c=boundary + 3e-14)
+    assert abs(low.confidence - high.confidence) < 1e-12
+    assert low.statistics_key() != high.statistics_key()
+    assert not low.same_statistics(high)
+    assert not low.is_redundant_with_respect_to(high)
+    assert filter_redundant([low, high]) == ([low, high], [])
+    # So the consistency check may not count ``high`` as covering ``low``.
+    full = RuleMiningResult(rules=[low, high])
+    assert nonredundant_result_is_consistent(full, RuleMiningResult(rules=[low, high])) == []
+    assert len(nonredundant_result_is_consistent(full, RuleMiningResult(rules=[high]))) == 1
 
 
 def test_redundancy_by_proper_subsequence():
