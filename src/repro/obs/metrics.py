@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -228,7 +229,11 @@ class Counter(_Family):
             return
         key = self._key(labels)
         with self._lock:
-            self._samples[key] = self._samples.get(key, 0.0) + amount  # type: ignore[operator]
+            self._add(key, amount)
+
+    def _add(self, key: Tuple[str, ...], amount: float) -> None:
+        """Add to one sample child; the caller holds the registry lock."""
+        self._samples[key] = self._samples.get(key, 0.0) + amount  # type: ignore[operator]
 
     def value(self, **labels: object) -> float:
         key = self._key(labels)
@@ -292,19 +297,21 @@ class Histogram(_Family):
             return
         key = self._key(labels)
         with self._lock:
-            child = self._samples.get(key)
-            if child is None:
-                child = [[0] * (len(self.buckets) + 1), 0.0, 0]
-                self._samples[key] = child
-            counts, _, _ = child  # type: ignore[misc]
-            index = len(self.buckets)
-            for position, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = position
-                    break
-            counts[index] += 1
-            child[1] += value  # type: ignore[index]
-            child[2] += 1  # type: ignore[index]
+            self._observe(key, value)
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        """Record one observation; the caller holds the registry lock.
+
+        The bucket is the first bound ``>= value`` (``bisect_left``), the
+        overflow slot past the last bound otherwise.
+        """
+        child = self._samples.get(key)
+        if child is None:
+            child = [[0] * (len(self.buckets) + 1), 0.0, 0]
+            self._samples[key] = child
+        child[0][bisect_left(self.buckets, value)] += 1  # type: ignore[index]
+        child[1] += value  # type: ignore[index]
+        child[2] += 1  # type: ignore[index]
 
     def time(self, **labels: object) -> "_HistogramTimer":
         """Context manager observing the elapsed wall-clock on exit."""
@@ -730,31 +737,32 @@ def merge_outcome_metrics(outcomes: Iterable[object]) -> None:
 
 
 def record_rule_close(
-    rule: str,
-    opened: int,
-    satisfied: int,
-    violated: int,
-    advances: int,
-    active_seconds: Optional[float] = None,
+    tallies: Mapping[str, Tuple[int, int, int, int, Optional[float]]],
 ) -> None:
-    """Mirror one rule's per-trace tallies onto the analytics families.
+    """Mirror one closed trace's per-rule tallies onto the analytics families.
 
-    Called once per rule per closed trace by ``StreamingMonitor.end_trace``
-    — never at per-event sites, so the monitoring hot loop stays free of
-    registry locks and the mirrored totals merge order-free across shards.
+    ``tallies`` maps a rule key to ``(opened, satisfied, violated,
+    advances, active_seconds)`` for every rule the trace armed.  Called
+    once per closed trace by ``StreamingMonitor.end_trace`` — never at
+    per-event sites — and writes all three ``repro_rule_*`` families under
+    a single acquisition of the registry lock, so a close pays one lock
+    round trip however many rules it touched, and the mirrored totals
+    merge order-free across shards.
     """
-    if not ENABLED:
+    if not ENABLED or not tallies:
         return
-    if opened:
-        RULE_POINTS_TOTAL.inc(opened, rule=rule, outcome="opened")
-    if satisfied:
-        RULE_POINTS_TOTAL.inc(satisfied, rule=rule, outcome="satisfied")
-    if violated:
-        RULE_POINTS_TOTAL.inc(violated, rule=rule, outcome="violated")
-    if advances:
-        RULE_TRIE_ADVANCES_TOTAL.inc(advances, rule=rule)
-    if active_seconds is not None:
-        RULE_ACTIVE_SECONDS.observe(active_seconds, rule=rule)
+    with REGISTRY._lock:
+        for rule, (opened, satisfied, violated, advances, active_seconds) in tallies.items():
+            if opened:
+                RULE_POINTS_TOTAL._add((rule, "opened"), opened)
+            if satisfied:
+                RULE_POINTS_TOTAL._add((rule, "satisfied"), satisfied)
+            if violated:
+                RULE_POINTS_TOTAL._add((rule, "violated"), violated)
+            if advances:
+                RULE_TRIE_ADVANCES_TOTAL._add((rule,), advances)
+            if active_seconds is not None:
+                RULE_ACTIVE_SECONDS._observe((rule,), active_seconds)
 
 
 def record_mining_stats(stats: object, backend: str) -> None:

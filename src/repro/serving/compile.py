@@ -47,10 +47,11 @@ contract).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.events import EventLabel
 from ..rules.rule import RecurrentRule
+from ..verification.violations import Signature, zero_template
 
 #: A compiled symbol id (dense, local to one compiled rule set).
 Symbol = int
@@ -60,6 +61,17 @@ NodeId = int
 #: Anything :func:`compile_rules` accepts: an iterable of rules or a
 #: repository-like object exposing a ``rules`` attribute.
 RuleSource = Union[Iterable[RecurrentRule], "SpecificationRepositoryLike"]
+
+
+def rule_key(rule) -> str:
+    """The stable string id the analytics layer keys rules by.
+
+    Shape only — ``"open -> use, close"`` — never the mined statistics:
+    the same rule re-mined at a new support must keep accumulating under
+    one key, and the key must survive JSON framing (the ``ANALYTICS``
+    verb) and Prometheus label quoting unchanged.
+    """
+    return f"{', '.join(rule.premise)} -> {', '.join(rule.consequent)}"
 
 
 class SpecificationRepositoryLike:  # pragma: no cover - typing helper only
@@ -87,6 +99,9 @@ class CompiledRuleSet:
         "last_symbol",
         "consequents",
         "consequent_moves",
+        "signatures",
+        "rule_keys",
+        "zero_points",
     )
 
     def __init__(
@@ -118,6 +133,13 @@ class CompiledRuleSet:
         self.consequents = consequents
         #: Rule id -> {symbol: descending matched-stage indices it advances}.
         self.consequent_moves = consequent_moves
+        #: Rule id -> ``rule.signature()``, the report's per-rule tally key.
+        self.signatures: Tuple[Signature, ...] = tuple(rule.signature() for rule in rules)
+        #: Rule id -> :func:`rule_key`, the analytics and metric label key.
+        self.rule_keys: Tuple[str, ...] = tuple(rule_key(rule) for rule in rules)
+        #: The immutable ``signature -> 0`` template every per-trace report
+        #: on this rule set shares, so a close writes only the rules it armed.
+        self.zero_points: Mapping[Signature, int] = zero_template(self.signatures)
 
     def __len__(self) -> int:
         return len(self.rules)

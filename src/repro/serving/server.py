@@ -83,6 +83,12 @@ from .pool import ACCEPTED, SESSION_LOST, MonitorPool
 #: length prefix must never make the server buffer gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 1 << 20
 
+#: The client-side bound on a *reply* frame.  Replies are not bounded by
+#: the server's inbound limit: a METRICS or ANALYTICS reply over a large
+#: rule set legitimately runs to megabytes.  This only guards the client
+#: against a corrupt length prefix.
+MAX_REPLY_FRAME_BYTES = 64 << 20
+
 _LENGTH = struct.Struct(">I")
 
 #: The verbs the protocol knows.  Request latency is labelled by verb;
@@ -479,6 +485,11 @@ class PushClient:
       surfaces as :class:`~repro.core.errors.ServingTimeout` instead of a
       hang (the connection is closed: a stream interrupted mid-frame
       cannot be resynchronized);
+    * a reply frame that cannot be read — truncated, not JSON, or longer
+      than :data:`MAX_REPLY_FRAME_BYTES` — raises
+      :class:`ProtocolError` and closes the connection for the same
+      reason, so the next call fails cleanly (or reconnects under
+      ``retries``) instead of parsing leftover bytes as a header;
     * with ``retries > 0`` a dropped or refused connection is rebuilt with
       exponential backoff plus jitter, and every request still awaiting a
       reply is re-sent on the new connection in order.  Because the
@@ -607,7 +618,7 @@ class PushClient:
                 self._reconnect()
             try:
                 self.flush()
-                reply = read_frame(self._file)
+                reply = read_frame(self._file, MAX_REPLY_FRAME_BYTES)
             except TimeoutError as error:
                 # A stream interrupted mid-frame cannot be resumed; drop
                 # the connection so the next call starts clean.
@@ -618,9 +629,11 @@ class PushClient:
                     "(server unresponsive or overloaded)"
                 ) from error
             except (OSError, ProtocolError):
+                # Same as a timeout: the stream may stop mid-frame, and
+                # reading on would parse leftover body bytes as a header.
+                self._teardown()
                 if not self._retries:
                     raise
-                self._teardown()
                 self._reconnect()
                 continue
             if reply is None:

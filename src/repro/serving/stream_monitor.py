@@ -28,6 +28,13 @@ trace, and consequent advancement splices whole stage lists.  The per-event
 cost is therefore amortized O(active states), independent of trace length —
 the property that makes the monitor serviceable on live streams where the
 offline monitor's per-trace re-scans are quadratic.
+
+Closing a trace is likewise O(rules the trace armed), not O(rules
+compiled): the close visits only armed rules, the per-trace report holds
+their non-zero point tallies plus a reference to the compiled set's shared
+zero template, and the trace's per-rule analytics reach the metrics
+registry in one batched call.  A short session checked against a large
+mined specification therefore pays for what it touched.
 """
 
 from __future__ import annotations
@@ -39,19 +46,8 @@ from ..core.errors import MonitoringError
 from ..core.events import EventLabel
 from ..core.sequence import SequenceDatabase
 from ..obs import metrics as obs_metrics
-from ..verification.violations import MonitoringReport, RuleViolation
+from ..verification.violations import MonitoringReport, RuleViolation, Signature
 from .compile import CompiledRuleSet, NodeId, RuleSource, Symbol, compile_rules
-
-
-def rule_key(rule) -> str:
-    """The stable string id the analytics layer keys rules by.
-
-    Shape only — ``"open -> use, close"`` — never the mined statistics:
-    the same rule re-mined at a new support must keep accumulating under
-    one key, and the key must survive JSON framing (the ``ANALYTICS``
-    verb) and Prometheus label quoting unchanged.
-    """
-    return f"{', '.join(rule.premise)} -> {', '.join(rule.consequent)}"
 
 
 class _ConsequentTracker:
@@ -170,39 +166,49 @@ class _TraceRun:
     ) -> MonitoringReport:
         """Finish the trace: unmatched pending points become violations.
 
+        Costs O(rules this trace armed), not O(rules compiled): only the
+        ``armed_counts`` rule ids are visited — a rule never armed opened
+        no point and contributes only the zeros the report's shared
+        template already holds.  They are visited in ascending rule id,
+        so violations come out in monitor order, as the dense walk did.
+
         ``analytics``, when given, is filled with this trace's per-rule
         tallies — ``rule key -> (opened, satisfied, violated, armings,
-        first_open_perf_counter)`` (the key is :func:`rule_key`, a plain
-        string so the tallies survive JSON framing) — for the serving
-        analytics layer.  The report itself is untouched by the
-        collection: the pool parity suites pin it byte-identical with
-        analytics on.
+        active_seconds)`` — for the serving analytics layer.  The key is
+        :func:`~repro.serving.compile.rule_key`, a plain string so the
+        tallies survive JSON framing; ``active_seconds`` runs from the
+        rule's first opened point to this close, ``None`` if it opened
+        none.  The report itself is untouched by the collection: the pool
+        parity suites pin it byte-identical with analytics on.
         """
-        report = MonitoringReport()
-        for rule_id, rule in enumerate(compiled.rules):
+        closed_at = time.perf_counter()
+        counts: Dict[Signature, int] = {}
+        total = satisfied = 0
+        violations: List[RuleViolation] = []
+        for rule_id in sorted(self.armed_counts):
             tracker = self.trackers.get(rule_id)
-            opened = tracker.opened if tracker is not None else 0
-            key = rule.signature()
-            report.per_rule_points[key] = report.per_rule_points.get(key, 0) + opened
-            report.total_points += opened
             if tracker is None:
                 if analytics is not None:
-                    armed = self.armed_counts.get(rule_id, 0)
-                    if armed:
-                        analytics[rule_key(rule)] = (0, 0, 0, armed, None)
+                    analytics[compiled.rule_keys[rule_id]] = (
+                        0, 0, 0, self.armed_counts[rule_id], None
+                    )
                 continue
-            report.satisfied_points += tracker.satisfied
+            key = compiled.signatures[rule_id]
+            counts[key] = counts.get(key, 0) + tracker.opened
+            total += tracker.opened
+            satisfied += tracker.satisfied
             pending = tracker.pending_positions()
             if analytics is not None:
-                analytics[rule_key(rule)] = (
-                    opened,
+                analytics[compiled.rule_keys[rule_id]] = (
+                    tracker.opened,
                     tracker.satisfied,
                     len(pending),
-                    self.armed_counts.get(rule_id, 0),
-                    tracker.first_open,
+                    self.armed_counts[rule_id],
+                    closed_at - tracker.first_open,
                 )
+            rule = compiled.rules[rule_id]
             for position in pending:
-                report.violations.append(
+                violations.append(
                     RuleViolation(
                         rule=rule,
                         trace_index=self.trace_index,
@@ -210,7 +216,9 @@ class _TraceRun:
                         trace_name=self.name,
                     )
                 )
-        return report
+        return MonitoringReport.of_trace(
+            compiled.zero_points, counts, total, satisfied, violations
+        )
 
 
 class StreamingMonitor:
@@ -296,8 +304,7 @@ class StreamingMonitor:
         self._next_trace_index += 1
         self.traces_seen += 1
         self._combined.merge(report)
-        closed_at = time.perf_counter()
-        for key, (opened, satisfied, violated, armed, first_open) in trace_analytics.items():
+        for key, (opened, satisfied, violated, armed, _) in trace_analytics.items():
             slot = self.analytics.get(key)
             if slot is None:
                 self.analytics[key] = [opened, satisfied, violated, armed]
@@ -306,14 +313,7 @@ class StreamingMonitor:
                 slot[1] += satisfied
                 slot[2] += violated
                 slot[3] += armed
-            obs_metrics.record_rule_close(
-                key,
-                opened,
-                satisfied,
-                violated,
-                armed,
-                closed_at - first_open if first_open is not None else None,
-            )
+        obs_metrics.record_rule_close(trace_analytics)
         return report
 
     def check_trace(

@@ -13,13 +13,13 @@ Table 2 — the property tests assert all three views coincide.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence as TypingSequence
+from typing import Dict, Iterable, List, Sequence as TypingSequence
 
 from ..core.events import EventLabel
 from ..core.sequence import SequenceDatabase
 from ..rules.rule import RecurrentRule
 from ..rules.temporal_points import is_followed_by, temporal_points_in_sequence
-from .violations import MonitoringReport, RuleViolation
+from .violations import MonitoringReport, RuleViolation, Signature, zero_template
 
 
 class RuleMonitor:
@@ -32,6 +32,7 @@ class RuleMonitor:
 
     def __init__(self, rules: Iterable[RecurrentRule]) -> None:
         self.rules: List[RecurrentRule] = list(rules)
+        self._zero_points = zero_template(rule.signature() for rule in self.rules)
 
     # ------------------------------------------------------------------ #
     # Single-trace checks
@@ -43,18 +44,21 @@ class RuleMonitor:
         trace_name: str = None,
     ) -> MonitoringReport:
         """Check every rule against one trace."""
-        report = MonitoringReport()
+        counts: Dict[Signature, int] = {}
+        total = satisfied = 0
+        violations: List[RuleViolation] = []
         events = tuple(trace)
         for rule in self.rules:
             points = temporal_points_in_sequence(events, rule.premise)
-            key = rule.signature()
-            report.per_rule_points[key] = report.per_rule_points.get(key, 0) + len(points)
+            if points:
+                key = rule.signature()
+                counts[key] = counts.get(key, 0) + len(points)
             for position in points:
-                report.total_points += 1
+                total += 1
                 if is_followed_by(events, position, rule.consequent):
-                    report.satisfied_points += 1
+                    satisfied += 1
                 else:
-                    report.violations.append(
+                    violations.append(
                         RuleViolation(
                             rule=rule,
                             trace_index=trace_index,
@@ -62,7 +66,7 @@ class RuleMonitor:
                             trace_name=trace_name,
                         )
                     )
-        return report
+        return MonitoringReport.of_trace(self._zero_points, counts, total, satisfied, violations)
 
     def satisfies(self, trace: TypingSequence[EventLabel]) -> bool:
         """Whether the trace satisfies every monitored rule (no violations)."""

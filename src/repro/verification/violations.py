@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.events import EventLabel
 from ..rules.rule import RecurrentRule
@@ -42,16 +43,96 @@ class RuleViolation:
         }
 
 
-@dataclass
-class MonitoringReport:
-    """Aggregated outcome of monitoring a set of rules over a trace database."""
+#: A rule's ``(premise, consequent)`` signature — the per-rule tally key.
+Signature = Tuple[Tuple[EventLabel, ...], Tuple[EventLabel, ...]]
 
-    total_points: int = 0
-    satisfied_points: int = 0
-    violations: List[RuleViolation] = field(default_factory=list)
-    per_rule_points: Dict[Tuple[Tuple[EventLabel, ...], Tuple[EventLabel, ...]], int] = field(
-        default_factory=dict
-    )
+
+class MonitoringReport:
+    """Aggregated outcome of monitoring a set of rules over a trace database.
+
+    ``per_rule_points`` maps each monitored rule's signature to its number
+    of temporal points.  It is *materialised on read*: a report stores only
+    its non-zero tallies plus references to the immutable zero templates
+    (``signature -> 0`` over a whole monitored rule set) of the rule sets
+    it covers, so closing a trace costs the rules it touched rather than
+    the rules it was checked against.  The materialised dict is a fresh
+    copy with every key of every covered template, in first-seen order,
+    zeros included and duplicate signatures summed; a report that covers
+    no trace (an empty database) materialises to ``{}``.  Equality and
+    ``repr`` use the materialised value.
+    """
+
+    __slots__ = ("total_points", "satisfied_points", "violations", "_counts", "_templates")
+
+    def __init__(
+        self,
+        total_points: int = 0,
+        satisfied_points: int = 0,
+        violations: Optional[List[RuleViolation]] = None,
+        per_rule_points: Optional[Mapping[Signature, int]] = None,
+    ) -> None:
+        self.total_points = total_points
+        self.satisfied_points = satisfied_points
+        self.violations: List[RuleViolation] = [] if violations is None else violations
+        #: Non-zero point tallies; every key is in some template below.
+        self._counts: Dict[Signature, int] = {}
+        #: ``id(template) -> template``, in first-merged order.  Keying by
+        #: identity dedupes the one template a generation shares across all
+        #: its sessions; ids stay unique because the values keep them alive.
+        self._templates: Dict[int, Mapping[Signature, int]] = {}
+        if per_rule_points is not None:
+            template = zero_template(per_rule_points)
+            self._templates[id(template)] = template
+            self._counts = {key: count for key, count in per_rule_points.items() if count}
+
+    @classmethod
+    def of_trace(
+        cls,
+        template: Mapping[Signature, int],
+        counts: Dict[Signature, int],
+        total_points: int,
+        satisfied_points: int,
+        violations: List[RuleViolation],
+    ) -> "MonitoringReport":
+        """A one-trace report: sparse ``counts`` over a shared zero ``template``.
+
+        ``template`` is the monitored rule set's :func:`zero_template`;
+        ``counts`` holds the non-zero tallies and is adopted, not copied.
+        """
+        report = cls(total_points, satisfied_points, violations)
+        report._counts = counts
+        report._templates[id(template)] = template
+        return report
+
+    @property
+    def per_rule_points(self) -> Dict[Signature, int]:
+        """Signature -> temporal points, materialised as a fresh dict."""
+        dense: Dict[Signature, int] = {}
+        for template in self._templates.values():
+            dense.update(template)
+        for key, count in self._counts.items():
+            dense[key] += count
+        return dense
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonitoringReport):
+            return NotImplemented
+        return (
+            self.total_points == other.total_points
+            and self.satisfied_points == other.satisfied_points
+            and self.violations == other.violations
+            and self.per_rule_points == other.per_rule_points
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"MonitoringReport(total_points={self.total_points!r}, "
+            f"satisfied_points={self.satisfied_points!r}, "
+            f"violations={self.violations!r}, "
+            f"per_rule_points={self.per_rule_points!r})"
+        )
 
     @property
     def violation_count(self) -> int:
@@ -71,12 +152,17 @@ class MonitoringReport:
         Point counts add up, violations append in order, and the per-rule
         point tallies combine key-wise — the aggregation both the offline
         database check and the streaming monitor's cumulative report use.
+        Only the sparse tallies are added; zero templates are shared by
+        reference, once each, so a merge costs the rules the traces touched.
         """
         self.total_points += other.total_points
         self.satisfied_points += other.satisfied_points
         self.violations.extend(other.violations)
-        for key, count in other.per_rule_points.items():
-            self.per_rule_points[key] = self.per_rule_points.get(key, 0) + count
+        for template in other._templates.values():
+            self._templates.setdefault(id(template), template)
+        own = self._counts
+        for key, count in other._counts.items():
+            own[key] = own.get(key, 0) + count
         return self
 
     @classmethod
@@ -116,3 +202,13 @@ class MonitoringReport:
             f"satisfaction rate         : {self.satisfaction_rate:.3f}",
         ]
         return "\n".join(lines)
+
+
+def zero_template(signatures: Iterable[Signature]) -> Mapping[Signature, int]:
+    """An immutable ``signature -> 0`` map over a monitored rule set.
+
+    Build it once per rule set and hand the same object to every
+    :meth:`MonitoringReport.of_trace`: merged reports keep one reference
+    per distinct template, however many traces they cover.
+    """
+    return MappingProxyType(dict.fromkeys(signatures, 0))

@@ -1,6 +1,8 @@
 """Unit tests for the metrics registry: families, rendering, merging."""
 
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,13 @@ class TestFamilies:
         assert counts == [1, 2, 1]  # <=0.1, <=1.0, overflow
         assert total == pytest.approx(6.05)
         assert count == 4
+
+    def test_histogram_bound_values_land_in_their_own_bucket(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h_seconds", buckets=(0.1, 1.0))
+        for value in (0.0, 0.1, 1.0, 1.0000001):
+            histogram.observe(value)
+        assert histogram.sample()[0] == [2, 1, 1]  # first bound >= value
 
     def test_histogram_timer_observes(self):
         registry = MetricsRegistry()
@@ -219,3 +228,72 @@ class TestSnapshotMerge:
     def test_default_buckets_are_sorted_and_nontrivial(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
         assert len(DEFAULT_BUCKETS) >= 8
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_record_rule_close_writes_one_trace_under_one_lock(monkeypatch):
+    """One closed trace's per-rule tallies reach all three ``repro_rule_*``
+    families in one call and one registry-lock acquisition."""
+    registry = obs_metrics.REGISTRY
+    registry.reset()
+    counting = _CountingLock(registry._lock)
+    monkeypatch.setattr(registry, "_lock", counting)
+    obs_metrics.record_rule_close(
+        {
+            "a -> b": (2, 1, 1, 1, 0.005),
+            "c -> d": (0, 0, 0, 1, None),
+        }
+    )
+    assert counting.acquired == 1
+    monkeypatch.undo()
+    points = obs_metrics.RULE_POINTS_TOTAL
+    assert [points.value(rule="a -> b", outcome=outcome) for outcome in
+            ("opened", "satisfied", "violated")] == [2, 1, 1]
+    assert points.value(rule="c -> d", outcome="opened") == 0
+    assert obs_metrics.RULE_TRIE_ADVANCES_TOTAL.value(rule="c -> d") == 1
+    counts, total, count = obs_metrics.RULE_ACTIVE_SECONDS.sample(rule="a -> b")
+    assert counts[obs_metrics.UNIT_BUCKETS.index(0.005)] == 1
+    assert (total, count) == (0.005, 1)
+    assert obs_metrics.RULE_ACTIVE_SECONDS.sample(rule="c -> d")[2] == 0
+    registry.reset()
+
+
+def test_concurrent_rule_closes_lose_no_update():
+    """Shards close traces on their own threads: batched rule closes racing
+    each other and per-sample ``inc`` calls must not lose an update."""
+    registry = obs_metrics.REGISTRY
+    registry.reset()
+    threads_n, closes = 8, 300
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def close_traces():
+            for _ in range(closes):
+                obs_metrics.record_rule_close({"a -> b": (1, 1, 0, 1, 0.001)})
+                obs_metrics.RULE_TRIE_ADVANCES_TOTAL.inc(rule="a -> b")
+
+        threads = [threading.Thread(target=close_traces) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    total = threads_n * closes
+    assert obs_metrics.RULE_POINTS_TOTAL.value(rule="a -> b", outcome="opened") == total
+    assert obs_metrics.RULE_TRIE_ADVANCES_TOTAL.value(rule="a -> b") == 2 * total
+    assert obs_metrics.RULE_ACTIVE_SECONDS.sample(rule="a -> b")[2] == total
+    registry.reset()

@@ -10,6 +10,7 @@ from repro.serving.compile import compile_rules
 from repro.serving.pool import ACCEPTED, BUSY, MonitorPool
 from repro.serving.stream_monitor import StreamingMonitor
 from repro.rules.rule import RecurrentRule
+from repro.verification.monitor import RuleMonitor
 
 RULES_A = [
     RecurrentRule(premise=("open",), consequent=("close",), s_support=2, i_support=2, confidence=1.0),
@@ -108,6 +109,59 @@ def test_pool_parity_across_mid_stream_hot_swap(stream, swap_at):
         pooled = pool.report()
     expected = reference_report(sessions, rules_of_session)
     assert report_bytes(pooled) == report_bytes(expected)
+
+
+#: Shares a signature with RULES_A and repeats one of its own, so the merged
+#: per-rule tallies must union two generations' templates and sum duplicates.
+RULES_C = [
+    RecurrentRule(premise=("open",), consequent=("close",), s_support=2, i_support=2, confidence=1.0),
+    RecurrentRule(premise=("use",), consequent=("idle",), s_support=2, i_support=2, confidence=1.0),
+    RecurrentRule(premise=("open",), consequent=("close",), s_support=3, i_support=3, confidence=0.9),
+]
+
+
+@given(stream=stream_strategy, swap_at=st.integers(min_value=0, max_value=60))
+@settings(max_examples=40, deadline=None)
+def test_pool_per_rule_points_match_offline_oracle_across_hot_swap(stream, swap_at):
+    """``pool.report().per_rule_points`` equals a dict folded by hand from
+    offline :class:`RuleMonitor` runs, one per session on its generation's
+    rules — an oracle that shares no report merging with the pool."""
+    with MonitorPool(RULES_A, shards=3, queue_depth=256) as pool:
+        sessions = {}
+        rules_of_session = {}
+        live = RULES_A
+        for position, (slot, event) in enumerate(stream):
+            if position == swap_at:
+                pool.swap(RULES_C)
+                live = RULES_C
+            session_id = f"s{slot}"
+            assert pool.feed(session_id, event) == ACCEPTED
+            sessions.setdefault(session_id, []).append(event)
+            rules_of_session.setdefault(session_id, live)
+        for ticket in [pool.end_session(sid) for sid in sessions]:
+            ticket.wait(timeout=10.0)
+        pooled = pool.report().per_rule_points
+    expected = {}
+    for session_id, events in sessions.items():  # admission order
+        offline = RuleMonitor(rules_of_session[session_id]).check_trace(events)
+        for key, count in offline.per_rule_points.items():
+            expected[key] = expected.get(key, 0) + count
+    assert list(pooled.items()) == list(expected.items())
+
+
+def test_mutating_a_materialised_report_leaves_the_next_session_alone():
+    with MonitorPool(RULES_C, shards=1) as pool:
+        pool.feed_batch("first", ["open", "close"])
+        first = pool.end_session("first").wait(timeout=10.0)
+        points = first.per_rule_points
+        points[(("open",), ("close",))] = 99
+        points[(("ghost",), ("phantom",))] = 1
+        pool.feed_batch("second", ["idle"])
+        second = pool.end_session("second").wait(timeout=10.0)
+        zeros = {(("open",), ("close",)): 0, (("use",), ("idle",)): 0}
+        assert second.per_rule_points == zeros
+        assert first.per_rule_points == {(("open",), ("close",)): 2, (("use",), ("idle",)): 0}
+        assert dict(pool.compiled.zero_points) == zeros
 
 
 # --------------------------------------------------------------------------- #

@@ -3,12 +3,16 @@
 import io
 import socket
 import struct
+import threading
 
 import pytest
 
+from repro.obs.metrics import set_enabled
 from repro.rules.rule import RecurrentRule
 from repro.serving.pool import MonitorPool
 from repro.serving.server import (
+    DEFAULT_MAX_FRAME_BYTES,
+    MAX_REPLY_FRAME_BYTES,
     EventPushServer,
     ProtocolError,
     PushClient,
@@ -196,3 +200,76 @@ def test_shutdown_verb_stops_the_server(served):
     server.close()
     with pytest.raises(OSError):
         socket.create_connection((host, port), timeout=0.5).close()
+
+
+# --------------------------------------------------------------------------- #
+# Client: large replies and unreadable reply frames
+# --------------------------------------------------------------------------- #
+def test_client_reads_replies_above_the_inbound_frame_limit():
+    """The server's inbound 1 MiB limit does not bound its own replies: an
+    ANALYTICS reply over a large rule set runs past it and must be read."""
+    rules = [
+        RecurrentRule(
+            premise=(f"e{index}-" + "x" * 1000,), consequent=("close",),
+            s_support=2, i_support=2, confidence=1.0,
+        )
+        for index in range(1100)
+    ]
+    set_enabled(False)  # keep 1,100 long rule labels out of the registry
+    try:
+        with MonitorPool(rules, shards=1) as pool:
+            with EventPushServer(pool, port=0) as server:
+                with PushClient(*server.address) as push_client:
+                    push_client.feed_batch("s", ["close"])
+                    assert push_client.end("s")["op"] == "SESSION"
+                    reply = push_client.analytics()
+                    assert len(encode_frame(reply)) > DEFAULT_MAX_FRAME_BYTES
+                    assert len(reply["rules"]) == len(rules)
+                    assert push_client.ping() == {"op": "PONG"}
+    finally:
+        set_enabled(True)
+
+
+def _scripted_server(connections):
+    """Serve one connection per script: each request frame is answered with
+    the script's next raw bytes; returns the listening address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            for script in connections:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    for raw in script:
+                        if read_frame(stream) is None:
+                            break
+                        stream.write(raw)
+                        stream.flush()
+                    stream.read()  # hold the connection until the client drops it
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()
+
+
+#: A reply header past the client's reply limit, followed by body bytes that
+#: would read as another huge header if the client kept the stream.
+_OVERSIZED_REPLY = struct.pack(">I", MAX_REPLY_FRAME_BYTES + 1) + b"{\"op\":\"METRICS\"," * 4
+
+
+def test_unreadable_reply_closes_the_connection():
+    host, port = _scripted_server([[_OVERSIZED_REPLY, encode_frame({"op": "PONG"})]])
+    with PushClient(host, port, timeout=5.0) as push_client:
+        with pytest.raises(ProtocolError, match="exceeds"):
+            push_client.request({"op": "METRICS"})
+        # The leftover body bytes are never parsed as the next header.
+        with pytest.raises(ProtocolError, match="connection is closed"):
+            push_client.report()
+
+
+def test_unreadable_reply_reconnects_under_retries():
+    host, port = _scripted_server(
+        [[_OVERSIZED_REPLY], [encode_frame({"op": "PONG"})]]
+    )
+    with PushClient(host, port, timeout=5.0, retries=2, backoff=0.01) as push_client:
+        assert push_client.ping() == {"op": "PONG"}
+        assert push_client.reconnects == 1

@@ -18,7 +18,9 @@ from repro.ltl.semantics import holds
 from repro.ltl.translate import rule_to_ltl
 from repro.rules.nonredundant_miner import mine_non_redundant_rules
 from repro.rules.rule import RecurrentRule
+from repro.obs import metrics as obs_metrics
 from repro.serving import StreamingMonitor, compile_rules, monitor_stream
+from repro.serving import compile as compile_module
 from repro.verification.monitor import RuleMonitor
 
 ALPHABET = [str(i) for i in range(5)]
@@ -176,3 +178,47 @@ def test_one_compiled_set_serves_concurrent_sessions_independently():
     first.feed("a")
     assert second.check_trace(["a", "b"]).violation_count == 0
     assert first.end_trace().violation_count == 1
+
+
+def test_close_does_only_the_work_of_the_rules_the_trace_armed(monkeypatch):
+    """Thousands of compiled rules the session never arms cost its close
+    nothing: no signature or rule key is derived while feeding or closing,
+    and the registry mirror is one call per closed trace carrying only the
+    armed rule.  A per-rule walk re-introduced into the close fails this."""
+    silent = [_rule([f"never{index}", f"gone{index}"], [f"absent{index}"]) for index in range(2000)]
+    armed = _rule(["open"], ["close"])
+    compiled = compile_rules(silent + [armed])
+
+    calls = {"signature": 0, "rule_key": 0}
+    tallies_per_close = []
+    signature, rule_key = RecurrentRule.signature, compile_module.rule_key
+    record_rule_close = obs_metrics.record_rule_close
+
+    def counting_signature(rule):
+        calls["signature"] += 1
+        return signature(rule)
+
+    def counting_rule_key(rule):
+        calls["rule_key"] += 1
+        return rule_key(rule)
+
+    def counting_record(tallies):
+        tallies_per_close.append(dict(tallies))
+        return record_rule_close(tallies)
+
+    monkeypatch.setattr(RecurrentRule, "signature", counting_signature)
+    monkeypatch.setattr(compile_module, "rule_key", counting_rule_key)
+    monkeypatch.setattr(obs_metrics, "record_rule_close", counting_record)
+    monitor = StreamingMonitor(compiled)
+    for trace in (["open", "noise", "close"], ["open", "open"], []):
+        monitor.begin_trace()
+        monitor.feed_many(trace)
+        monitor.end_trace()
+    assert calls == {"signature": 0, "rule_key": 0}
+    assert [sorted(tallies) for tallies in tallies_per_close] == [["open -> close"]] * 3
+    monkeypatch.undo()
+
+    per_rule = monitor.report().per_rule_points
+    assert len(per_rule) == len(silent) + 1
+    assert per_rule[armed.signature()] == 3
+    assert sum(per_rule.values()) == 3

@@ -9,6 +9,7 @@ from repro.patterns.result import MinedPattern
 from repro.rules.rule import RecurrentRule
 from repro.verification.coverage import coverage_of, specification_events
 from repro.verification.monitor import RuleMonitor, monitor_database
+from repro.verification.violations import MonitoringReport
 
 
 def _rule(premise, consequent):
@@ -212,6 +213,56 @@ def test_report_merge_accumulates_everything():
     assert merged.satisfied_points == whole.satisfied_points == 1
     assert merged.violations == whole.violations
     assert merged.per_rule_points == whole.per_rule_points
+
+
+def test_report_per_rule_points_is_dense_summed_and_in_first_seen_order():
+    """A report stores sparse tallies over shared zero templates, but reads
+    back as the dense map: every monitored signature, zeros included,
+    duplicate signatures summed, keys in first-seen order."""
+    a_b, c_d, e_f = _rule(["a"], ["b"]), _rule(["c"], ["d"]), _rule(["e"], ["f"])
+    first = RuleMonitor([a_b, c_d, a_b])
+    second = RuleMonitor([e_f, c_d])
+    merged = MonitoringReport.merge_all(
+        [
+            first.check_trace(["a", "b"]),
+            second.check_trace(["c", "e"]),
+            first.check_trace(["a", "c"]),
+        ]
+    )
+    assert list(merged.per_rule_points.items()) == [
+        (a_b.signature(), 4),
+        (c_d.signature(), 2),
+        (e_f.signature(), 1),
+    ]
+
+
+def test_report_merge_all_leaves_its_inputs_untouched():
+    monitor = RuleMonitor([_rule(["a"], ["b"]), _rule(["c"], ["d"])])
+    reports = [monitor.check_trace(["a"]), monitor.check_trace(["c", "d"])]
+    before = [(repr(report), report.per_rule_points) for report in reports]
+    merged = MonitoringReport.merge_all(reports)
+    merged.merge(monitor.check_trace(["a", "a", "c"]))
+    assert [(repr(report), report.per_rule_points) for report in reports] == before
+
+
+def test_report_equality_and_repr_use_the_materialised_tallies():
+    rule = _rule(["a"], ["b"])
+    streamed = RuleMonitor([rule]).check_trace(["x"])
+    built = MonitoringReport(per_rule_points={rule.signature(): 0})
+    assert streamed == built
+    assert repr(streamed) == repr(built)
+    assert "per_rule_points={(('a',), ('b',)): 0}" in repr(built)
+    assert streamed != MonitoringReport(per_rule_points={rule.signature(): 1})
+    assert MonitoringReport() == MonitoringReport(per_rule_points={})
+
+
+def test_report_materialised_points_are_a_copy():
+    rule = _rule(["a"], ["b"])
+    monitor = RuleMonitor([rule])
+    report = monitor.check_trace(["a", "b"])
+    report.per_rule_points[rule.signature()] = 99
+    assert report.per_rule_points == {rule.signature(): 1}
+    assert monitor.check_trace([]).per_rule_points == {rule.signature(): 0}
 
 
 def test_violations_of_and_violated_rules_with_multiple_rules():
