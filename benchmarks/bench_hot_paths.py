@@ -20,6 +20,13 @@ transfer volume: the pickle size of the mined instance lists in tuple form
 vs. block form, plus the engine's own ``instances_materialized`` /
 ``shipped_bytes`` counters from a real miner run.
 
+Two further records time whole mines.  ``patterns_quest`` runs the closed
+miner at the ``mine-quest`` shape (profile D5C20N10S20, scale 0.04,
+support 0.185), asserts its output equals the unpruned tuple traversal,
+and records the search counters that the frequent-pair pruning and the
+restricted infix oracle cut.  ``rules_nonredundant`` times the
+non-redundant rule mine with its redundancy filter split out.
+
 Results go to ``benchmarks/results/hot_paths.txt`` (human-readable) and are
 *appended* as one run record to the ``BENCH_hot_paths.json`` trajectory at
 the repository root — stable, before/after comparable fields so the perf
@@ -50,6 +57,8 @@ from repro.core.projection import (
     singleton_instances,
 )
 from repro.core.sequence import SequenceDatabase
+from repro.datagen.profiles import generate_profile
+from repro.patterns import closure as closure_module
 from repro.patterns.closure import is_closed, is_closed_block
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
@@ -100,8 +109,11 @@ def _generate_workload(scale: float):
     return sequences, min_support
 
 
-def _grow_tuple_path(encoded, index, min_support, closed):
-    """The pre-columnar hot loop: projection (+ closure) over instance tuples."""
+def _grow_tuple_path(encoded, index, min_support, closed, max_length=MAX_PATTERN_LENGTH):
+    """The pre-columnar hot loop: projection (+ closure) over instance tuples.
+
+    Unpruned: every forward extension is projected, frequent or not.
+    """
     nodes = visited_rows = 0
     emitted = []
     singletons = singleton_instances(encoded)
@@ -111,7 +123,7 @@ def _grow_tuple_path(encoded, index, min_support, closed):
         nodes += 1
         visited_rows += len(instances)
         extensions = forward_extensions(encoded, index, pattern, instances)
-        at_cap = len(pattern) >= MAX_PATTERN_LENGTH
+        at_cap = max_length is not None and len(pattern) >= max_length
         if at_cap or not closed or is_closed(encoded, index, pattern, instances, extensions):
             emitted.append((pattern, tuple(instances)))
         if at_cap:
@@ -290,6 +302,84 @@ def bench_hot_paths(benchmark):
             f"expected >=3x growth-loop speedup, got {growth['speedup']:.2f}x"
         )
         assert block_payload < tuple_payload
+
+
+#: The ``mine-quest`` end-to-end workload's closed-pattern mine: the paper's
+#: profile, scaled down, at the same relative support.
+QUEST_PROFILE = "D5C20N10S20"
+QUEST_SCALE = 0.04
+QUEST_MIN_SUPPORT = 0.185
+
+
+def bench_patterns_quest(benchmark, monkeypatch):
+    """The closed-pattern mine at the ``mine-quest`` shape, whose search is
+    pruned by the frequent-pair table, against the unpruned tuple traversal."""
+    database = generate_profile(QUEST_PROFILE, scale=QUEST_SCALE)
+    encoded = database.encoded
+    index = PositionIndex(encoded)
+    miner = ClosedIterativePatternMiner(IterativeMiningConfig(min_support=QUEST_MIN_SUPPORT))
+    mined, mine_seconds = _best_of(5, lambda: miner.mine(database))
+    min_support = database.absolute_support(QUEST_MIN_SUPPORT)
+    (reference, nodes, _), reference_seconds = _best_of(
+        1, lambda: _grow_tuple_path(encoded, index, min_support, closed=True, max_length=None)
+    )
+    vocabulary = database.vocabulary
+    assert [
+        (tuple(vocabulary.id_of(event) for event in pattern.events), pattern.instances)
+        for pattern in mined.patterns
+    ] == [(pattern, tuple(instances)) for pattern, instances in reference]
+    assert mined.stats.visited == nodes
+
+    project = closure_module.project_rows_in_sequence
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return project(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(closure_module, "project_rows_in_sequence", counted)
+        miner.mine(database)
+    benchmark.pedantic(miner.mine, args=(database,), rounds=1, iterations=1)
+
+    stats = mined.stats
+    payload = {
+        "benchmark": "patterns_quest",
+        "workload": {
+            "profile": QUEST_PROFILE,
+            "profile_scale": QUEST_SCALE,
+            "sequences": len(database),
+            "events": database.total_events(),
+            "min_support": QUEST_MIN_SUPPORT,
+            "scale": SCALE,
+            "host_cpus": os.cpu_count(),
+        },
+        "closed_mine_seconds": round(mine_seconds, 4),
+        "unpruned_tuple_seconds": round(reference_seconds, 4),
+        "patterns": len(mined.patterns),
+        "visited": stats.visited,
+        "instances_materialized": stats.instances_materialized,
+        "infix_sequence_projections": calls,
+        # The closed mine is what the regression gate watches.
+        "wall_clock_seconds": round(mine_seconds, 4),
+    }
+    append_bench_record(JSON_PATH, payload)
+    write_result(
+        "patterns_quest",
+        "\n".join(
+            [
+                f"workload: {QUEST_PROFILE} at scale {QUEST_SCALE}, {len(database)} sequences, "
+                f"{database.total_events()} events, min_support={QUEST_MIN_SUPPORT}",
+                f"closed mine: {mine_seconds:.4f} s -> {len(mined.patterns)} patterns, "
+                f"{stats.visited} nodes",
+                f"unpruned tuple traversal: {reference_seconds:.4f} s, identical output",
+                f"instances materialised: {stats.instances_materialized}, "
+                f"infix per-sequence projections: {calls}",
+                f"json: {JSON_PATH.name}",
+            ]
+        ),
+    )
 
 
 class _UnfilteredMiner(NonRedundantRecurrentRuleMiner):

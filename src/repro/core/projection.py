@@ -41,13 +41,39 @@ Two implementations live side by side:
 Both paths produce instances in the identical canonical order, so the block
 path is bit-compatible with the reference (and with the pre-columnar
 releases); the property tests assert exactly that.
+
+**Frequent-pair pruning.**  The miners also pass
+:func:`forward_extensions_block` the row of a frequent-pair table
+(:func:`frequent_pair_table`, the co-occurrence map of CM-SPADE/CM-ClaSP):
+the events ``e`` with ``support(<P[-1], e>) >= min_support``.  Every other
+extension is infrequent, because
+
+``support(P ++ <e>) <= support(<P[-1], e>)``:
+
+an instance ``(sid, s, t')`` of ``P ++ <e>`` whose ``P`` part ends at ``t``
+maps to ``(sid, t, t')``, an instance of ``<P[-1], e>`` — no event of
+``{P[-1], e}`` can sit between ``t`` and ``t'``, since both lie in the
+extended pattern's alphabet.  Instances are determined by their end, so the
+map is injective.  The pruned call returns exactly the reference rows of
+every extension that reaches ``min_support``; it only skips the others'
+``seen``-set inserts, gap bisects and row appends.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, List, Optional, Sequence as TypingSequence, Set, Tuple
+from collections import Counter
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence as TypingSequence,
+    Set,
+    Tuple,
+)
 
 from .blocks import BLOCK_TYPECODE, BlockBuilder, InstanceBlock
 from .events import EncodedDatabase, EventId
@@ -316,11 +342,52 @@ def singleton_blocks(encoded_db: EncodedDatabase) -> Dict[EventId, InstanceBlock
     return {event: builder.build() for event, builder in builders.items()}
 
 
+def frequent_pair_table(
+    encoded_db: EncodedDatabase, min_support: int
+) -> Dict[EventId, FrozenSet[EventId]]:
+    """``a -> {e : support(<a, e>) >= min_support}`` for every frequent ``a``.
+
+    An instance of ``<a, e>`` is an ``a`` followed by the first ``e`` after
+    it with no ``a`` in between (for ``a == e``: an ``a`` and the next one).
+    One right-to-left pass per sequence keeps its events ordered by next
+    occurrence, nearest first; at an ``a``, the events ahead of ``a``'s own
+    entry are exactly those occurring before the next ``a``, and ``a``
+    itself pairs with its next occurrence.  Infrequent events are dropped
+    from the sequences first: ``support(<a, e>)`` is at most the occurrence
+    count of either event, and removing other events never changes whether
+    an ``a`` or ``e`` sits between two positions.
+    """
+    occurrences: Counter = Counter()
+    for sequence in encoded_db:
+        occurrences.update(sequence)
+    counts: Dict[EventId, Counter] = {
+        event: Counter() for event, count in occurrences.items() if count >= min_support
+    }
+    for sequence in encoded_db:
+        order: List[EventId] = []
+        for event in reversed(sequence):
+            pairs = counts.get(event)
+            if pairs is None:
+                continue
+            if event in order:
+                cut = order.index(event)
+                pairs.update(order[: cut + 1])
+                del order[cut]
+            else:
+                pairs.update(order)
+            order.insert(0, event)
+    return {
+        event: frozenset(other for other, count in pairs.items() if count >= min_support)
+        for event, pairs in counts.items()
+    }
+
+
 def forward_extensions_block(
     encoded_db: EncodedDatabase,
     index: PositionIndex,
     node: AlphabetIndex,
     block: InstanceBlock,
+    successors: Optional[AbstractSet[EventId]] = None,
 ) -> Dict[EventId, InstanceBlock]:
     """Columnar :func:`forward_extensions`: ``e -> block of pattern ++ <e>``.
 
@@ -329,7 +396,14 @@ def forward_extensions_block(
     the per-instance loop, and emits extension rows into
     :class:`~repro.core.blocks.BlockBuilder` columns — no per-instance
     object allocation anywhere on the path.
+
+    ``successors``, when given, is the frequent-pair table row of the
+    pattern's last event (see the module docstring): only those events are
+    extended, every other one costs a single set test.  Without it every
+    extension is returned, as :func:`forward_extensions` does.
     """
+    if successors is not None and not successors:
+        return {}
     # Per-event open builder state, laid out flat for the inner loop:
     # [starts.append, ends.append, seq_ids.append, offsets.append,
     #  last_sid, starts, ends, seq_ids, offsets]
@@ -368,8 +442,10 @@ def forward_extensions_block(
             if window_end > after:
                 has_gap = end - start > 1
                 seen_outside = set()
-                for position in range(end + 1, window_end):
+                for position in range(after, window_end):
                     event = sequence[position]
+                    if successors is not None and event not in successors:
+                        continue
                     if event in seen_outside:
                         continue
                     seen_outside.add(event)
@@ -394,6 +470,8 @@ def forward_extensions_block(
                 # The next alphabet event itself is a valid extension target:
                 # the extended pattern then repeats an event it already has.
                 event = sequence[boundary]
+                if successors is not None and event not in successors:
+                    continue
                 entry = entries.get(event)
                 if entry is None:
                     entry = entries[event] = _new_entry()

@@ -26,6 +26,15 @@ over :class:`~repro.core.blocks.InstanceBlock`, which share the search
 node's :class:`~repro.core.projection.AlphabetIndex` so the per-instance
 boundary queries collapse into binary searches on one merged occurrence
 list.  The miners run the block variants.
+
+The block infix oracle verifies a candidate only in the sequences that
+hold ``P``.  A gap candidate ``e`` lies outside ``alphabet(P)``, so
+deleting it from an instance of the extended pattern leaves an instance
+of ``P`` with the same span: every gap of the extended instance excludes
+``alphabet(P)``, and the merged gap around ``e`` holds nothing of
+``alphabet(P)`` either.  A sequence without ``P`` therefore holds no
+instance of the extended pattern.  The list-based reference still scans
+the whole database.
 """
 
 from __future__ import annotations
@@ -154,11 +163,10 @@ def _oracle_instances(
 
     Only sequences containing every event of the pattern can host an
     instance, so sequences failing that cheap index check are skipped before
-    running the exact QRE matcher.  Scanning the *whole* database (rather
-    than only sequences hosting the base pattern) matters for correctness:
-    instance support is not anti-monotone under event insertion, so the
-    extension may have instances in sequences the base pattern never matched,
-    and undercounting them could wrongly equate the two supports.
+    running the exact QRE matcher.  The reference deliberately scans the
+    *whole* database: it shares no reasoning with the block oracle, which
+    relies on gap insertions having no instances outside the sequences
+    that hold the base pattern.
     """
     needed = tuple(frozenset(pattern))
     results: List[PatternInstance] = []
@@ -273,25 +281,22 @@ def infix_closure_violation_block(
     merged-alphabet projection machinery — no instance tuples, no QRE
     rescans.  The key structural fact: correspondence plus equal support
     force the extended pattern's instance count to match the pattern's
-    *in every single sequence* (and to vanish in sequences the pattern
-    misses), so the oracle verifies sequence by sequence and abandons a
-    candidate at its first mismatching sequence instead of materialising
-    the extension across the whole database first.
+    *in every single sequence*, so the oracle verifies sequence by
+    sequence and abandons a candidate at its first mismatching sequence
+    instead of materialising the extension across the whole database
+    first.  Only the sequences holding the pattern are visited: the
+    extension has no instances anywhere else (see the module docstring).
     """
     candidates = _gap_candidates_block(encoded_db, index, node, block)
     if not candidates:
         return None
     pattern = node.pattern
-    # Per-sequence instance counts of the pattern, and each group's rows.
-    groups: Dict[int, Tuple[int, int]] = {
-        sid: (lo, hi) for sid, lo, hi in block.groups()
-    }
+    groups = list(block.groups())
     # prefix_nodes[i] is the AlphabetIndex of pattern[:i + 1]; its merged
     # caches are shared by every candidate through the parent links.
     prefix_nodes = [AlphabetIndex(index, (pattern[0],))]
     for event in pattern[1:-1]:
         prefix_nodes.append(prefix_nodes[-1].extend(event))
-    database_size = len(encoded_db)
     for event in sorted(candidates):
         for insert_position in candidates[event]:
             extended = pattern[:insert_position] + (event,) + pattern[insert_position:]
@@ -299,32 +304,19 @@ def infix_closure_violation_block(
             nodes = nodes + [nodes[-1].extend(event)]
             for tail_event in pattern[insert_position:]:
                 nodes.append(nodes[-1].extend(tail_event))
-            matched = True
-            for sequence_index in range(database_size):
-                bounds = groups.get(sequence_index)
-                expected = bounds[1] - bounds[0] if bounds is not None else 0
+            for sequence_index, lo, hi in groups:
                 positions = index[sequence_index]
-                first_positions = positions.positions_of(extended[0])
-                if not first_positions:
-                    if expected:
-                        matched = False
-                        break
-                    continue
                 rows = project_rows_in_sequence(
                     encoded_db[sequence_index],
                     positions.table(),
                     nodes,
                     extended,
                     sequence_index,
-                    [(position, position) for position in first_positions],
+                    [(position, position) for position in positions.positions_of(pattern[0])],
                 )
-                if len(rows) != expected:
-                    matched = False
+                if len(rows) != hi - lo or not _rows_correspond(block, lo, hi, rows):
                     break
-                if expected and not _rows_correspond(block, bounds[0], bounds[1], rows):
-                    matched = False
-                    break
-            if matched:
+            else:
                 return (event, insert_position)
     return None
 

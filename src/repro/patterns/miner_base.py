@@ -7,6 +7,17 @@ first ``k`` events yields distinct instances of ``P``'s length-``k`` prefix).
 Each frequent pattern is therefore reached exactly once, along the chain of
 its own prefixes.
 
+A node only projects the extensions that can still be frequent.  The
+search context keeps a frequent-pair table, ``a -> {e : support(<a, e>) >=
+min_support}``, and a child ``P ++ <e>`` is materialised only when ``e`` is
+in the row of ``P[-1]``: each instance of ``P ++ <e>`` ends in a distinct
+instance of ``<P[-1], e>`` (the span from ``P``'s last event to the new
+one holds no event of either), so ``support(P ++ <e>) <= support(<P[-1],
+e>)``.  A skipped child is infrequent, so it could never have been
+explored, nor have made its parent non-closed or absorbed it.  Nodes at
+``max_pattern_length`` project nothing at all: no child of theirs is
+explored and neither miner's emission reads their extensions.
+
 Instance lists travel the search as columnar
 :class:`~repro.core.blocks.InstanceBlock` values: flat int columns instead
 of per-instance tuples, so the inner projection loops allocate nothing per
@@ -33,7 +44,7 @@ emitted patterns, so sorting records by pattern reassembles it exactly.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..core.blocks import InstanceBlock, WireInstanceBlock
 from ..core.errors import ConfigurationError
@@ -42,6 +53,7 @@ from ..core.positions import PositionIndex
 from ..core.projection import (
     AlphabetIndex,
     forward_extensions_block,
+    frequent_pair_table,
     project_extension_block,
     singleton_blocks,
 )
@@ -108,18 +120,20 @@ class ClosureVerdict(NamedTuple):
 class PatternSearchContext(LazyIndexContext):
     """Per-run search state, built once per process by the engine.
 
-    The index and the singleton instance blocks are materialised lazily:
-    the coordinating process only plans (a counts-only pass), so only the
-    processes that actually mine pay for them — each exactly once,
-    reused across all the shards that process executes.
+    The index, the singleton instance blocks and the frequent-pair table
+    are materialised lazily: the coordinating process only plans (a
+    counts-only pass), so only the processes that actually mine pay for
+    them — each exactly once, reused across all the shards that process
+    executes.
     """
 
-    __slots__ = ("min_support", "_singletons")
+    __slots__ = ("min_support", "_singletons", "_pairs")
 
     def __init__(self, encoded: EncodedDatabase, min_support: int) -> None:
         super().__init__(encoded)
         self.min_support = min_support
         self._singletons: Optional[Dict[EventId, InstanceBlock]] = None
+        self._pairs: Optional[Dict[EventId, FrozenSet[EventId]]] = None
 
     @property
     def singletons(self) -> Dict[EventId, InstanceBlock]:
@@ -127,15 +141,24 @@ class PatternSearchContext(LazyIndexContext):
             self._singletons = singleton_blocks(self.encoded)
         return self._singletons
 
+    @property
+    def frequent_pairs(self) -> Dict[EventId, FrozenSet[EventId]]:
+        """``a -> {e : support(<a, e>) >= min_support}`` (frequent ``a`` only)."""
+        if self._pairs is None:
+            self._pairs = frequent_pair_table(self.encoded, self.min_support)
+        return self._pairs
+
     def absorb_appended(self, new_sequences: Any) -> None:
         """Extend the live index with appended sequences (incremental path).
 
-        The singleton block cache is invalidated rather than extended: it
-        is rebuilt lazily from the grown database on next use, while the
-        position index — the expensive part — grows in place.
+        The singleton block cache and the frequent-pair table are
+        invalidated rather than extended: they are rebuilt lazily from the
+        grown database on next use, while the position index — the
+        expensive part — grows in place.
         """
         super().absorb_appended(new_sequences)
         self._singletons = None
+        self._pairs = None
 
 
 class IterativePatternMinerBase:
@@ -437,22 +460,30 @@ class IterativePatternMinerBase:
         ``node`` is this search node's shared boundary cache: every
         projection and closure query reuses the same frozenset(pattern)
         and merged alphabet-occurrence lists, derived incrementally from
-        the parent node's cache.
+        the parent node's cache.  Only extensions by the frequent-pair
+        row of the pattern's last event are projected, and none at the
+        length cap.
         """
         encoded = context.encoded
+        pattern = node.pattern
         stats.visited += 1
-        extensions = forward_extensions_block(encoded, context.index, node, block)
+        max_length = self.config.max_pattern_length
+        if max_length is not None and len(pattern) >= max_length:
+            self._emit(context, node, block, {}, stats, splitter, records)
+            return None
+
+        extensions = forward_extensions_block(
+            encoded,
+            context.index,
+            node,
+            block,
+            # P[-1] is frequent: each instance of P ends at its own occurrence.
+            context.frequent_pairs[pattern[-1]],
+        )
         for extension_block in extensions.values():
             stats.instances_materialized += len(extension_block)
 
         self._emit(context, node, block, extensions, stats, splitter, records)
-
-        pattern = node.pattern
-        if (
-            self.config.max_pattern_length is not None
-            and len(pattern) >= self.config.max_pattern_length
-        ):
-            return None
 
         explore = sorted(extensions)
         if self.config.adjacent_absorption_pruning:

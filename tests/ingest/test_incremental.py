@@ -312,3 +312,26 @@ def test_live_index_is_extended_not_rebuilt(tmp_path):
     assert miner._context is context
     assert context._index is index_before
     assert len(index_before) == len(store)
+
+
+def test_append_that_makes_a_pair_frequent_is_mined(tmp_path):
+    """Appends invalidate the kept-alive context's frequent-pair table.
+
+    ``<x, y>`` occurs once in the base corpus, so the first mine's pair
+    table leaves it out; the append makes it frequent, and the refresh
+    must grow it exactly as a from-scratch mine does.
+    """
+    store = TraceStore(str(tmp_path) + "/store")
+    store.append_batch([["x", "y"], ["x", "z", "x"], ["y"]])
+    miner = IncrementalMiner(
+        ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2)), store
+    )
+    first, _ = miner.refresh()
+    assert ("x", "y") not in {pattern.events for pattern in first.patterns}
+
+    store.append_batch([["x", "y"]])
+    result, report = miner.refresh()
+    assert not report.full_remine
+    full = mine_closed_patterns(store.snapshot(), min_support=2)
+    assert ("x", "y") in {pattern.events for pattern in full.patterns}
+    assert result.patterns == full.patterns

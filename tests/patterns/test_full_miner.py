@@ -49,6 +49,15 @@ def test_max_pattern_length_limits_search():
     assert not result.contains(("a", "b", "c"))
 
 
+def test_nodes_at_the_length_cap_project_no_extensions(abc_database):
+    uncapped = mine_frequent_patterns(abc_database, min_support=2)
+    capped = mine_frequent_patterns(abc_database, min_support=2, max_pattern_length=2)
+    assert capped.patterns == [p for p in uncapped.patterns if len(p.events) <= 2]
+    assert capped.stats.instances_materialized < uncapped.stats.instances_materialized
+    singletons = mine_frequent_patterns(abc_database, min_support=2, max_pattern_length=1)
+    assert singletons.stats.instances_materialized == 0
+
+
 def test_instances_collected_by_default_and_optional():
     db = SequenceDatabase.from_sequences([["a", "b"]] * 2)
     with_instances = FullIterativePatternMiner(IterativeMiningConfig(min_support=2)).mine(db)
