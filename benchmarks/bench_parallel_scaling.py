@@ -1,13 +1,13 @@
 """Parallel engine scaling: speedup vs. worker count on the paper profile.
 
 Runs the closed iterative-pattern miner and the non-redundant rule miner on
-the scaled D5C20N10S20 dataset, serially and on the process-pool backend
-with increasing worker counts, and reports wall-clock speedups.  Every
-parallel run is also checked bit-identical to the serial reference — the
-engine's core contract.
+the scaled D5C20N10S20 dataset, serially and on the work-stealing backend
+(the engine's one multi-process backend) with increasing worker counts,
+and reports wall-clock speedups.  Every parallel run is also checked
+bit-identical to the serial reference — the engine's core contract.
 
 The workload scale is ``REPRO_SCALING_SCALE`` (default: the larger of
-``REPRO_BENCH_SCALE`` and 0.02, so there is enough work per shard for the
+``REPRO_BENCH_SCALE`` and 0.02, so there is enough work per unit for the
 pool to amortise its start-up).  The >1.5x-at-4-workers assertion only
 fires on hosts that can physically deliver it (>= 4 CPUs and a serial run
 long enough to measure); set ``REPRO_REQUIRE_SPEEDUP=1`` to force it.
@@ -17,7 +17,7 @@ import os
 import time
 
 from repro.datagen.profiles import PAPER_PROFILE, generate_profile
-from repro.engine import ProcessPoolBackend, SerialBackend
+from repro.engine import SerialBackend, WorkStealingBackend
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
 from repro.rules.config import RuleMiningConfig
@@ -58,16 +58,16 @@ def bench_parallel_scaling(benchmark):
     lines = [
         f"dataset: D5C20N10S20 scaled by {SCALING_SCALE} ({len(database)} sequences), "
         f"host cpus: {os.cpu_count()}",
-        f"{'miner':<10} {'backend':<22} {'seconds':>9} {'speedup':>9} {'results':>9}",
+        f"{'miner':<10} {'backend':<36} {'seconds':>9} {'speedup':>9} {'results':>9}",
     ]
     speedups = {}
     for name, miner in [("patterns", pattern_miner), ("rules", rule_miner)]:
         reference, serial_seconds = _timed(lambda: miner.mine(database, backend=SerialBackend()))
         lines.append(
-            f"{name:<10} {'serial':<22} {serial_seconds:>9.2f} {'1.00x':>9} {len(reference):>9}"
+            f"{name:<10} {'serial':<36} {serial_seconds:>9.2f} {'1.00x':>9} {len(reference):>9}"
         )
         for workers in WORKER_COUNTS:
-            backend = ProcessPoolBackend(workers=workers)
+            backend = WorkStealingBackend(workers=workers)
 
             def mine_once(miner=miner, backend=backend):
                 return miner.mine(database, backend=backend)
@@ -89,7 +89,7 @@ def bench_parallel_scaling(benchmark):
             speedup = serial_seconds / seconds if seconds > 0 else float("inf")
             speedups[(name, workers)] = (speedup, serial_seconds)
             lines.append(
-                f"{name:<10} {backend.describe():<22} {seconds:>9.2f} "
+                f"{name:<10} {backend.describe():<36} {seconds:>9.2f} "
                 f"{speedup:>8.2f}x {len(result):>9}"
             )
 

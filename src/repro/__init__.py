@@ -41,8 +41,8 @@ from .core.errors import (
 from .datagen import QuestConfig, QuestGenerator, generate_profile
 from .engine import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
+    WorkStealingBackend,
     resolve_backend,
 )
 from .ltl import holds, ltl_to_rule, parse_ltl, rule_to_ltl
@@ -92,8 +92,8 @@ __all__ = [
     "QuestGenerator",
     "generate_profile",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
+    "WorkStealingBackend",
     "resolve_backend",
     "holds",
     "ltl_to_rule",

@@ -1,44 +1,40 @@
-"""Parallel sharded mining engine.
+"""Parallel mining engine: one work-unit pipeline on pluggable backends.
 
-The engine splits a miner's depth-first search over its independent
-first-level roots (singleton patterns, single-event premises), runs the
-shards on a pluggable :class:`ExecutionBackend`, and merges the per-shard
-outputs deterministically so that parallel results are bit-identical to
-the serial ones.  See :mod:`repro.engine.sharding` for the ordering
-argument and :mod:`repro.engine.runner` for the miner protocol.
+The engine splits a miner's depth-first search into work units — one per
+independent first-level root (singleton pattern, single-event premise),
+plus whatever the work-stealing backend carves out of a hot subtree — runs
+them on an :class:`ExecutionBackend`, and merges the unit outputs
+deterministically so that parallel results are bit-identical to the serial
+ones.  See :mod:`repro.engine.sharding` for the unit types and the ordering
+argument, :mod:`repro.engine.runner` for the miner protocol and
+:mod:`repro.engine.backend` for the pipeline.
 
 Typical use::
 
     from repro import SequenceDatabase, mine_closed_patterns
-    from repro.engine import ProcessPoolBackend
+    from repro.engine import WorkStealingBackend
 
     result = mine_closed_patterns(db, min_support=3,
-                                  backend=ProcessPoolBackend(workers=4))
+                                  backend=WorkStealingBackend(workers=4))
 """
 
 from .backend import (
     BACKEND_CHOICES,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
+    merge_outcomes,
     resolve_backend,
-    run_sharded,
 )
 from .runner import LazyIndexContext, ShardRunner, plan_weighted_roots
 from .sharding import (
+    NULL_SPLITTER,
+    NullSplitter,
     PlanResult,
-    RootResult,
-    Shard,
-    ShardOutcome,
     UnitOutcome,
     WorkUnit,
-    merge_outcomes,
-    plan_shards,
 )
 from .stealing import (
     DEFAULT_SPLIT_DEPTH,
-    NULL_SPLITTER,
-    NullSplitter,
     StealSplitter,
     WorkStealingBackend,
 )
@@ -46,22 +42,16 @@ from .stealing import (
 __all__ = [
     "BACKEND_CHOICES",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
     "WorkStealingBackend",
     "resolve_backend",
-    "run_sharded",
     "LazyIndexContext",
     "ShardRunner",
     "plan_weighted_roots",
     "PlanResult",
-    "RootResult",
-    "Shard",
-    "ShardOutcome",
     "UnitOutcome",
     "WorkUnit",
     "merge_outcomes",
-    "plan_shards",
     "DEFAULT_SPLIT_DEPTH",
     "NULL_SPLITTER",
     "NullSplitter",

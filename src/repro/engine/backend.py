@@ -1,103 +1,120 @@
 """Execution backends: where and how the mining search actually runs.
 
-A backend's :meth:`ExecutionBackend.execute` owns the whole plan → run →
-merge pipeline for one :class:`~repro.engine.runner.ShardRunner`.  This
-module ships the two statically planned backends:
+Every backend executes the same thing — the
+:class:`~repro.engine.sharding.WorkUnit` values a
+:class:`~repro.engine.runner.ShardRunner` plans — through one pipeline,
+:meth:`ExecutionBackend.execute`: plan the units, drop those a checkpoint
+journal already holds, run the rest, and fold every outcome with
+:func:`merge_outcomes`.  Backends differ only in
+:meth:`~ExecutionBackend.run_units`:
 
-* :class:`SerialBackend` — run every shard in the current process.  This is
-  the default and the reference semantics; with ``max_shards=1`` (the
-  default) it is exactly the historical single-pass depth-first search.
-* :class:`ProcessPoolBackend` — fan shards out to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The runner is shipped
-  to each worker once through the pool initializer; workers rebuild their
-  ``PositionIndex`` cache once and reuse it across all their shards.
+* :class:`SerialBackend` — run every unit in the current process, in root
+  order, without splitting.  This is the default and the reference
+  semantics: exactly the single-pass depth-first search.
+* :class:`~repro.engine.stealing.WorkStealingBackend` (its own module) —
+  the one multi-process backend: workers pull units from a shared queue
+  and split hot subtrees into new units when the pool runs hungry.
 
-:class:`~repro.engine.stealing.WorkStealingBackend` (its own module) adds
-the adaptive third option: dynamic subtree splitting over a shared work
-queue for skewed databases.
-
-Because the merge step is deterministic — sorted root id on the shard
-path (:func:`~repro.engine.sharding.merge_outcomes`), sorted record keys
-on the stealing path — every backend produces bit-identical mining
-results; parallelism only changes wall-clock time.
+Because the merge is deterministic — each record carries its own
+search-tree key and the miners' ``resolve_units`` sorts by it — every
+backend produces bit-identical mining results; parallelism only changes
+wall-clock time.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence as TypingSequence, Tuple
+from collections import deque
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..core.errors import ConfigurationError, ExecutionFault
+from ..core.errors import ConfigurationError
 from ..core.stats import MiningStats
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..testing import faults
 from .runner import ShardRunner
-from .sharding import Shard, ShardOutcome, merge_outcomes, plan_shards
-
-#: Shards created per worker so stragglers can be rebalanced by the pool.
-OVERSUBSCRIPTION = 4
-
-#: How many times a broken pool (a worker process died mid-shard) is
-#: rebuilt and the unfinished shards resubmitted before the run fails
-#: with a diagnostic naming the shards that never survived a round.
-DEFAULT_POOL_RESTARTS = 3
-
-# Per-worker-process runner installed by the pool initializer.  Module-level
-# state is required here: only module-level functions pickle cleanly as pool
-# initializers/tasks, and the whole point is to ship the runner once per
-# worker instead of once per shard.
-_WORKER_RUNNER: Optional[ShardRunner] = None
+from .sharding import NULL_SPLITTER, UnitOutcome, WorkUnit
 
 
-def _initialize_worker(runner: ShardRunner) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
+def merge_outcomes(
+    runner: ShardRunner, outcomes: List[UnitOutcome]
+) -> Tuple[List[Any], MiningStats]:
+    """Fold unit outcomes into canonical records and summed counters.
+
+    Search counters are summed across units; wall-clock time is
+    deliberately *not* summed (the caller times the whole run — summing
+    per-worker clocks would double-count overlapping work).  The metric
+    deltas and trace spans the units shipped are folded into this
+    process's registry and collector, and ``resolve_units`` reassembles
+    the serial record order from any set of outcomes that tiles the search
+    space, in any order.
+    """
+    stats = MiningStats()
+    for outcome in outcomes:
+        stats.merge_counters(outcome.stats)
+    obs_metrics.merge_outcome_metrics(outcomes)
+    tracing.absorb_outcome_spans(outcomes)
+    return runner.resolve_units(outcomes), stats
+
+
+def run_units_in_process(
+    runner: ShardRunner,
+    units: List[WorkUnit],
+    checkpoint: Any,
+    splitter_for: Callable[[Callable[[List[WorkUnit]], None]], Any],
+) -> List[UnitOutcome]:
+    """Run units on a local deque in the current process.
+
+    ``splitter_for(submit)`` builds the splitting policy for one unit;
+    ``submit`` queues the units it splits off behind the rest.  With the
+    null policy nothing ever splits, which is the serial search.
+    """
     runner.setup()
+    pending = deque(units)
+    outcomes: List[UnitOutcome] = []
+    while pending:
+        unit = pending.popleft()
 
+        def submit(spawned: List[WorkUnit], parent: WorkUnit = unit) -> None:
+            pending.extend(spawned)
+            if checkpoint is not None:
+                checkpoint.record_spawn(parent, spawned)
 
-def _execute_shard(shard: Shard) -> ShardOutcome:
-    assert _WORKER_RUNNER is not None, "worker used before initialization"
-    if faults.ACTIVE is not None:
-        faults.trigger("engine.shard", key=str(shard.index))
-    return _WORKER_RUNNER.run_shard(shard)
+        outcome = runner.run_shard(unit, splitter_for(submit))
+        if checkpoint is not None:
+            checkpoint.record_unit(unit, outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 class ExecutionBackend:
     """Strategy interface for executing a miner's root-parallel search.
 
-    ``execute`` owns the whole plan → run → merge pipeline.  The default
-    implementation is the static path: pack the planned roots into LPT
-    shards, run them through :meth:`map_shards`, and reassemble by sorted
-    root id.  Backends with their own scheduling discipline (the
-    work-stealing backend) override ``execute`` outright and never touch
-    the shard machinery.
+    ``execute`` owns the whole plan → resume → run → merge pipeline;
+    subclasses only decide how the pending units run
+    (:meth:`run_units`).
     """
 
     name = "abstract"
 
     #: Optional :class:`~repro.durability.checkpoint.MiningCheckpoint`.
-    #: When set, every completed shard (or work unit, on the stealing
-    #: backend) is journaled as it lands, and ``execute`` reuses the
-    #: outcomes already journaled by a previous (crashed) run instead of
-    #: re-mining them.  Soundness: outcomes are pure functions of the
-    #: database and configuration the checkpoint identity pins, and the
-    #: merge is deterministic, so a resumed run is byte-identical to an
-    #: uninterrupted one.
+    #: When set, every completed work unit is journaled as it lands, and
+    #: ``execute`` reuses the outcomes already journaled by a previous
+    #: (crashed) run instead of re-mining them.  Soundness: outcomes are
+    #: pure functions of the database and configuration the checkpoint
+    #: identity pins, and the merge is deterministic, so a resumed run is
+    #: byte-identical to an uninterrupted one.
     checkpoint = None
 
     def execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
         """Run the whole pipeline and publish the run's observability data.
 
-        The search itself lives in :meth:`_execute` (overridden by
-        backends with their own scheduling discipline); this wrapper owns
-        the single per-run touch point with :mod:`repro.obs` — the span
-        around the run and the one-shot mirror of the final merged
-        ``MiningStats`` onto registry counters.  Mirroring here, after all
-        per-shard/per-unit stats merged, is what keeps the registry free
-        of double counting on any backend.
+        Returns the mined records in canonical serial order together with
+        the summed search counters (including root-level support pruning
+        from the planning step).  This wrapper owns the single per-run
+        touch point with :mod:`repro.obs` — the span around the run and
+        the one-shot mirror of the final merged ``MiningStats`` onto
+        registry counters.  Mirroring here, after all per-unit stats
+        merged, is what keeps the registry free of double counting on any
+        backend.
         """
         with tracing.span("engine.execute", backend=self.name):
             records, stats = self._execute(runner)
@@ -105,42 +122,37 @@ class ExecutionBackend:
         return records, stats
 
     def _execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
-        """Plan, execute and merge the search; return (records, counters)."""
-        plan = runner.plan()
-        if not plan.roots:
-            stats = MiningStats()
-            stats.pruned_support += plan.pruned_support
-            return [], stats
-        shards = plan_shards(plan.roots, self.shard_count(len(plan.roots)))
-        cached: List[ShardOutcome] = []
-        pending = list(shards)
-        if self.checkpoint is not None:
-            done = self.checkpoint.completed_shards()
-            cached = [done[tuple(s.roots)] for s in shards if tuple(s.roots) in done]
-            pending = [s for s in shards if tuple(s.roots) not in done]
-        outcomes = self.map_shards(runner, pending) if pending else []
-        records, stats = merge_outcomes(cached + outcomes)
-        obs_metrics.merge_outcome_metrics(cached + outcomes)
-        tracing.absorb_outcome_spans(outcomes)
-        stats.pruned_support += plan.pruned_support
+        """Plan, resume, run and merge the units; return (records, counters)."""
+        units, pruned_support = runner.plan_units()
+        cached: List[UnitOutcome] = []
+        if units and self.checkpoint is not None:
+            # Unit outcomes are plan-independent, so whatever a previous
+            # (crashed) run journaled under the same identity is reusable
+            # even when this run plans differently; only the rest runs.
+            cached, units = self.checkpoint.plan_resume(units)
+            # The run that executed them recorded their metric deltas and
+            # spans; this run reuses only their records and counters.
+            cached = [outcome._replace(metrics=None, spans=None) for outcome in cached]
+        counters = MiningStats()
+        outcomes = self.run_units(runner, units, counters) if units else []
+        # Called through the module global: perfbench's traced split wraps
+        # ``merge_outcomes`` by name.
+        records, stats = merge_outcomes(runner, cached + outcomes)
+        stats.merge_counters(counters)
+        stats.pruned_support += pruned_support
         if cached:
-            stats.bump("shards_resumed", len(cached))
-            obs_metrics.DURABILITY_RESUMED_TOTAL.inc(len(cached), kind="shard")
+            stats.bump("units_resumed", len(cached))
         return records, stats
 
-    def _record_shard(self, shard: Shard, outcome: ShardOutcome) -> None:
-        """Journal one completed shard if a checkpoint is armed."""
-        if self.checkpoint is not None:
-            self.checkpoint.record_shard(shard, outcome)
+    def run_units(
+        self, runner: ShardRunner, units: List[WorkUnit], counters: MiningStats
+    ) -> List[UnitOutcome]:
+        """Execute ``units`` (and whatever they split into); return outcomes.
 
-    def shard_count(self, num_roots: int) -> int:
-        """How many shards to split ``num_roots`` roots into."""
-        raise NotImplementedError
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        """Execute every shard and return outcomes in shard order."""
+        Outcomes may come back in any order.  ``counters`` collects the
+        backend's own bookkeeping (retries, lost workers) for the run's
+        stats.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -149,151 +161,16 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Run shards in-process, in order.
-
-    ``max_shards`` exists for testing the shard/merge path without
-    processes: the default of 1 keeps the classic single-pass search, while
-    larger values force the work through the same planning and merging
-    machinery the parallel backend uses.
-    """
+    """Run every unit in process, in root order, without splitting."""
 
     name = "serial"
 
-    def __init__(self, max_shards: int = 1) -> None:
-        if max_shards < 1:
-            raise ConfigurationError(f"max_shards must be >= 1, got {max_shards!r}")
-        self.max_shards = max_shards
-
-    def shard_count(self, num_roots: int) -> int:
-        return max(1, min(self.max_shards, num_roots))
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        runner.setup()
-        outcomes = []
-        for shard in shards:
-            with tracing.span("engine.shard", index=shard.index, roots=len(shard.roots)):
-                outcome = runner.run_shard(shard)
-            self._record_shard(shard, outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan shards out to a pool of worker processes.
-
-    Worker-process death (OOM kill, segfault) breaks a
-    :class:`ProcessPoolExecutor` wholesale; this backend recovers by
-    keeping every completed shard outcome, rebuilding the pool and
-    resubmitting only the unfinished shards.  Shards are replayable by
-    construction (pure functions of the shipped runner), so the merged
-    result is unchanged by recovery.  A shard that never survives
-    ``pool_restarts`` consecutive rebuilds fails the run with an
-    :class:`~repro.core.errors.ExecutionFault` naming it.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        oversubscription: int = OVERSUBSCRIPTION,
-        pool_restarts: int = DEFAULT_POOL_RESTARTS,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if oversubscription < 1:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1, got {oversubscription!r}"
-            )
-        if pool_restarts < 0:
-            raise ConfigurationError(
-                f"pool_restarts must be >= 0, got {pool_restarts!r}"
-            )
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.oversubscription = oversubscription
-        self.pool_restarts = pool_restarts
-        self._recovery_counters: Dict[str, int] = {}
-
-    def shard_count(self, num_roots: int) -> int:
-        return max(1, min(num_roots, self.workers * self.oversubscription))
-
-    def _execute(self, runner: ShardRunner) -> Tuple[List[Any], MiningStats]:
-        self._recovery_counters = {}
-        records, stats = super()._execute(runner)
-        for name, amount in self._recovery_counters.items():
-            stats.bump(name, amount)
-        return records, stats
-
-    def map_shards(
-        self, runner: ShardRunner, shards: TypingSequence[Shard]
-    ) -> List[ShardOutcome]:
-        if self.workers <= 1 or len(shards) <= 1:
-            # Nothing to parallelise; avoid pool start-up entirely.  The
-            # fallback inherits the checkpoint so completions still journal.
-            fallback = SerialBackend(max_shards=len(shards) or 1)
-            fallback.checkpoint = self.checkpoint
-            return fallback.map_shards(runner, shards)
-        outcomes: Dict[int, ShardOutcome] = {}
-        remaining: Dict[int, Shard] = {shard.index: shard for shard in shards}
-        broken_rounds = 0
-        while remaining:
-            if not self._run_round(runner, remaining, outcomes):
-                continue  # everything submitted this round completed
-            broken_rounds += 1
-            self._bump("pool_restarts")
-            if broken_rounds > self.pool_restarts:
-                survivors = ", ".join(
-                    f"shard {index} (roots {list(remaining[index].roots)})"
-                    for index in sorted(remaining)
-                )
-                raise ExecutionFault(
-                    "process pool broke "
-                    f"{broken_rounds} times without completing: {survivors}; "
-                    "quarantining as poison shards"
-                )
-            self._bump("shards_retried", len(remaining))
-        return [outcomes[shard.index] for shard in shards]
-
-    def _run_round(
-        self,
-        runner: ShardRunner,
-        remaining: Dict[int, Shard],
-        outcomes: Dict[int, ShardOutcome],
-    ) -> bool:
-        """Run one pool over the remaining shards; True if the pool broke."""
-        broken = False
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(remaining)),
-            initializer=_initialize_worker,
-            initargs=(runner,),
-        ) as pool:
-            futures = {
-                index: pool.submit(_execute_shard, shard)
-                for index, shard in sorted(remaining.items())
-            }
-            for index, future in futures.items():
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    # A worker died; this future (and possibly others) was
-                    # lost with it.  Harvest whatever did finish and let
-                    # the caller rebuild the pool for the rest.
-                    broken = True
-                    continue
-                outcomes[index] = outcome
-                self._record_shard(remaining[index], outcome)
-                del remaining[index]
-        return broken
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        self._recovery_counters[name] = self._recovery_counters.get(name, 0) + amount
-
-    def describe(self) -> str:
-        if self.workers <= 1:
-            return f"{self.name}[workers={self.workers}] (serial fallback)"
-        return f"{self.name}[workers={self.workers}]"
+    def run_units(
+        self, runner: ShardRunner, units: List[WorkUnit], counters: MiningStats
+    ) -> List[UnitOutcome]:
+        return run_units_in_process(
+            runner, units, self.checkpoint, lambda submit: NULL_SPLITTER
+        )
 
 
 def resolve_backend(
@@ -303,9 +180,9 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Build a backend from CLI-style ``--backend`` / ``--workers`` values.
 
-    ``name=None`` (or ``"auto"``) picks the process pool whenever more than
-    one worker is requested and the serial backend otherwise, so plain
-    ``--workers 4`` is enough to go parallel.  Asking for the serial
+    ``name=None`` (or ``"auto"``) picks the work-stealing backend whenever
+    more than one worker is requested and the serial backend otherwise, so
+    plain ``--workers 4`` is enough to go parallel.  Asking for the serial
     backend *and* multiple workers is contradictory and rejected rather
     than silently ignoring the worker count; likewise ``split_depth`` only
     means something to the work-stealing backend.
@@ -313,47 +190,29 @@ def resolve_backend(
     # Imported here: stealing builds on this module's ExecutionBackend.
     from .stealing import DEFAULT_SPLIT_DEPTH, WorkStealingBackend
 
-    if split_depth is not None and name != "stealing":
-        raise ConfigurationError(
-            f"--split-depth only applies to the 'stealing' backend, not {name!r}"
-        )
+    if name is None or name == "auto":
+        name = "stealing" if workers is not None and workers > 1 else "serial"
     if name == "stealing":
         return WorkStealingBackend(
             workers=workers,
             split_depth=split_depth if split_depth is not None else DEFAULT_SPLIT_DEPTH,
         )
-    if name is None or name == "auto":
-        if workers is not None and workers > 1:
-            return ProcessPoolBackend(workers=workers)
-        return SerialBackend()
     if name == "serial":
         if workers is not None and workers > 1:
             raise ConfigurationError(
                 f"the serial backend runs one process; drop --workers {workers} "
-                "or use the 'process' backend"
+                "or use the 'stealing' backend"
+            )
+        if split_depth is not None:
+            raise ConfigurationError(
+                "--split-depth only applies to the 'stealing' backend "
+                "(or 'auto' with --workers > 1), not 'serial'"
             )
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(workers=workers)
     raise ConfigurationError(
-        f"unknown execution backend {name!r} "
-        "(expected 'serial', 'process', 'stealing' or 'auto')"
+        f"unknown execution backend {name!r} (expected 'serial', 'stealing' or 'auto')"
     )
 
 
-def run_sharded(
-    backend: ExecutionBackend,
-    runner: ShardRunner,
-) -> Tuple[List[Any], MiningStats]:
-    """Plan, execute and merge a root-parallel search on ``backend``.
-
-    Returns the mined records in canonical serial order together with the
-    summed search counters (including root-level support pruning from the
-    planning step).  Kept as a thin wrapper for backward compatibility;
-    the pipeline lives in :meth:`ExecutionBackend.execute`.
-    """
-    return backend.execute(runner)
-
-
 #: Backend names accepted by :func:`resolve_backend` (CLI choices).
-BACKEND_CHOICES = ("auto", "serial", "process", "stealing")
+BACKEND_CHOICES = ("auto", "serial", "stealing")

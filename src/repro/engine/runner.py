@@ -1,9 +1,12 @@
 """The shard runner: the picklable bridge between miners and backends.
 
 A :class:`ShardRunner` wraps a miner and an encoded database and knows how
-to (a) plan the root-level work, (b) build the expensive per-run search
-context — the :class:`~repro.core.positions.PositionIndex` and the root
-projections — exactly once per process, and (c) mine one shard of roots.
+to (a) plan the root-level work units, (b) build the expensive per-run
+search context — the :class:`~repro.core.positions.PositionIndex` and the
+root projections — exactly once per process, and (c) execute one work
+unit (:meth:`ShardRunner.run_shard`).  The class and that method keep
+their names because perfbench's traced split wraps ``ShardRunner.plan``
+and ``ShardRunner.run_shard`` by name.
 
 Miners plug in through a duck-typed protocol (no imports from the miner
 packages so the engine stays dependency-free):
@@ -14,24 +17,21 @@ packages so the engine stays dependency-free):
     planning, and once per worker process for mining.
 ``plan_roots(context)``
     Return a :class:`~repro.engine.sharding.PlanResult` of frequent roots.
-``mine_root(context, root, stats)``
-    Mine one root's subtree and return its records in depth-first order
-    (the static shard path).
 ``initial_units(context, plan)``
-    The root-level :class:`~repro.engine.sharding.WorkUnit` seeds of the
-    work-stealing path.
+    The root-level :class:`~repro.engine.sharding.WorkUnit` seeds.
 ``mine_unit(context, unit, stats, splitter)``
     Execute one work unit, consulting ``splitter`` for dynamic subtree
-    splitting and heavy-phase offload.
+    splitting and heavy-phase offload (the serial backend passes
+    :data:`~repro.engine.sharding.NULL_SPLITTER`, which never splits).
 ``resolve_units(outcomes)``
     Deterministically reassemble unit outcomes into the canonical serial
     record order (coordinating process only).
 
-The runner is pickled into each worker exactly once (via the pool
-initializer); the context is *never* pickled — ``__getstate__`` drops it so
-every worker rebuilds its ``PositionIndex`` cache locally once and reuses
-it for all the shards it executes, instead of rebuilding per subtree or
-shipping bulky indexes over the wire.
+The runner is pickled into each worker process exactly once; the context
+is *never* pickled — ``__getstate__`` drops it so every worker rebuilds its
+``PositionIndex`` cache locally once and reuses it for all the units it
+executes, instead of rebuilding per subtree or shipping bulky indexes over
+the wire.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..core.positions import PositionIndex
 from ..core.stats import MiningStats
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from .sharding import PlanResult, RootResult, Shard, ShardOutcome, UnitOutcome, WorkUnit
+from .sharding import PlanResult, UnitOutcome, WorkUnit
 
 
 def plan_weighted_roots(
@@ -55,7 +55,7 @@ def plan_weighted_roots(
 
     Both miner families plan identically — iterate the roots in sorted
     order, prune those whose weight (instance or sequence count) is below
-    the support threshold, and weight the survivors for shard packing.
+    the support threshold, and keep the survivors' weights as cost hints.
     """
     roots: List[Tuple[EventId, int]] = []
     pruned = 0
@@ -87,7 +87,7 @@ class LazyIndexContext:
     The :class:`PositionIndex` is materialised on first use: the
     coordinating process only plans, so only the processes that actually
     mine pay for index construction — and each pays exactly once, reusing
-    it across all the shards it executes.
+    it across all the units it executes.
     """
 
     __slots__ = ("encoded", "_index")
@@ -118,7 +118,7 @@ class LazyIndexContext:
 
 
 class ShardRunner:
-    """Execute shards of a miner's root-parallel search."""
+    """Plan and execute the work units of a miner's root-parallel search."""
 
     def __init__(
         self,
@@ -149,7 +149,7 @@ class ShardRunner:
         In a worker process (the runner crossed a pickle boundary with the
         coordinator's tracing armed), this also arms the worker-side
         shipping collector and adopts the coordinator's trace context, so
-        the worker's unit/shard spans join the coordinator's trace when
+        the worker's unit spans join the coordinator's trace when
         they travel back inside the outcomes.
         """
         # Two ways a worker learns the coordinator had tracing armed:
@@ -179,61 +179,24 @@ class ShardRunner:
             tracing.adopt(*trace_ctx)
         self._ensure_context()
 
-    def run_shard(self, shard: Shard) -> ShardOutcome:
-        """Mine every root of ``shard`` and package the outcome.
-
-        ``shipped_bytes`` accounts the instance-block payload packaged into
-        the outcome — the volume that crosses the worker-to-coordinator
-        pickle boundary on the process backend (counted identically on the
-        serial backend so the number is comparable across backends).
-        """
-        context = self._ensure_context()
-        started = time.perf_counter()
-        stats = MiningStats()
-        root_results: List[RootResult] = []
-        # Worker-side only: the serial backend already wraps run_shard in
-        # an "engine.shard" span coordinator-side.
-        shard_span = (
-            tracing.span("engine.shard", index=shard.index, roots=len(shard.roots))
-            if tracing.shipping()
-            else tracing._NOOP
-        )
-        with shard_span:
-            for root in shard.roots:
-                records = tuple(self.miner.mine_root(context, root, stats))
-                for record in records:
-                    stats.shipped_bytes += _record_payload_bytes(record)
-                root_results.append(RootResult(root, records))
-        delta = (
-            obs_metrics.shard_observation(time.perf_counter() - started)
-            if obs_metrics.ENABLED
-            else None
-        )
-        return ShardOutcome(
-            shard.index, tuple(root_results), stats, delta, tracing.drain_shipped()
-        )
-
-    # ------------------------------------------------------------------ #
-    # Work-stealing unit protocol
-    # ------------------------------------------------------------------ #
     def plan_units(self) -> Tuple[List[WorkUnit], int]:
         """Plan the root-level seed units (coordinating process only).
 
-        Units come back heaviest first so big subtrees enter the queue
-        early and get the whole run to subdivide; the order is a pure
-        function of the plan, never of execution timing.
+        Units come back in ascending root order, the order the serial
+        search visits them; the work-stealing coordinator reorders its own
+        queue heaviest first.
         """
         plan = self.plan()
         units = list(self.miner.initial_units(self._ensure_context(), plan))
-        units.sort(key=lambda unit: (-unit.cost_hint, unit.root, unit.path))
         return units, plan.pruned_support
 
-    def run_unit(self, unit: WorkUnit, splitter: Any) -> UnitOutcome:
+    def run_shard(self, unit: WorkUnit, splitter: Any) -> UnitOutcome:
         """Execute one work unit, packaging records and counters.
 
-        ``shipped_bytes`` accounting mirrors :meth:`run_shard`: the
-        instance payload packaged into the outcome is counted identically
-        on every backend so the number stays comparable.
+        ``shipped_bytes`` accounts the instance-block payload packaged into
+        the outcome — the volume that crosses the worker-to-coordinator
+        pickle boundary on the multi-process backend, counted identically
+        in process so the number stays comparable across backends.
 
         Crash-recovery contract: a unit execution must be a pure function
         of ``(self, unit)`` — all state is re-derived by replaying along

@@ -1,11 +1,11 @@
 """Adaptive work-stealing execution: dynamic subtree splitting under skew.
 
-The static LPT shard plan (:func:`~repro.engine.sharding.plan_shards`)
-guesses subtree costs at plan time from root-level weights.  On skewed
-databases — a handful of hot first-level prefixes owning most of the search
-tree — that guess is structurally wrong: whole worker pools idle behind the
-one shard that drew the hot root.  This module replaces the guess with
-demand-driven subdivision:
+A plan fixed up front guesses subtree costs from root-level weights.  On
+skewed databases — a handful of hot first-level prefixes owning most of the
+search tree — that guess is structurally wrong: whole worker pools idle
+behind the one worker that drew the hot root.  This module, the engine's
+one multi-process backend, replaces the guess with demand-driven
+subdivision:
 
 * workers pull :class:`~repro.engine.sharding.WorkUnit` values from a
   shared queue seeded with one unit per frequent root (heaviest first);
@@ -60,10 +60,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Se
 
 from ..core.errors import ConfigurationError, ExecutionFault
 from ..core.stats import MiningStats
-from ..obs import metrics as obs_metrics
-from ..obs import tracing
 from ..testing import faults
-from .backend import ExecutionBackend
+from .backend import ExecutionBackend, run_units_in_process
 from .sharding import UnitOutcome, WorkUnit, describe_unit
 
 #: Maximum node depth (path length) at which frontier nodes may still be
@@ -79,24 +77,6 @@ DEFAULT_CHECK_INTERVAL = 64
 #: heavy phase is never offloaded as its own unit — replaying the path
 #: would cost more than the phase itself.
 DEFAULT_OFFLOAD_MIN_COST = 256
-
-
-class NullSplitter:
-    """The no-splitting policy: serial and shard backends use this."""
-
-    split_depth = 0
-
-    def should_split(self) -> bool:
-        return False
-
-    def should_offload(self, cost_hint: int) -> bool:
-        return False
-
-    def submit(self, units: Sequence[WorkUnit]) -> None:
-        raise RuntimeError("NullSplitter cannot accept split-off work units")
-
-
-NULL_SPLITTER = NullSplitter()
 
 
 class StealSplitter:
@@ -339,10 +319,10 @@ def _worker_main(
         try:
             if faults.ACTIVE is not None:
                 # Inside the try: an injected ``raise`` must take the same
-                # path as a real exception in ``run_unit`` (worker-failure
+                # path as a real exception in ``run_shard`` (worker-failure
                 # report), while ``kill`` never unwinds anyway.
                 faults.trigger("engine.unit", key=f"{unit.kind}:{unit.root}")
-            outcome = runner.run_unit(unit, splitter)
+            outcome = runner.run_shard(unit, splitter)
         except BaseException:
             results.put(_WorkerFailure(worker_index, traceback.format_exc()))
             return
@@ -390,7 +370,10 @@ class _Coordinator:
         self.task_queues = [self.ctx.Queue() for _ in range(backend.workers)]
         self.workers: Dict[int, Any] = {}
         self._next_task_id = 0
-        self.pending: deque = deque(self._new_task(unit, 0, False) for unit in units)
+        # Heaviest first, so big subtrees enter the queue early and get the
+        # whole run to subdivide; the order is a pure function of the plan.
+        ordered = sorted(units, key=lambda unit: (-unit.cost_hint, unit.root, unit.path))
+        self.pending: deque = deque(self._new_task(unit, 0, False) for unit in ordered)
         self.in_flight: Dict[int, _Task] = {}
         self.started_at: Dict[int, float] = {}
         self.children: Dict[int, List[int]] = {}
@@ -629,61 +612,11 @@ class _Coordinator:
         return [self.outcomes[task_id] for task_id in sorted(self.outcomes)]
 
 
-def _run_units_with_processes(
-    runner: Any, units: List[WorkUnit], backend: "WorkStealingBackend", stats: MiningStats
-) -> List[UnitOutcome]:
-    """Execute units on a pool of stealing workers; collect all outcomes."""
-    return _Coordinator(runner, units, backend, stats).run()
-
-
-def _run_units_in_process(
-    runner: Any, units: List[WorkUnit], backend: "WorkStealingBackend"
-) -> List[UnitOutcome]:
-    """Run units on a local deque in the current process.
-
-    With ``eager_split`` the splitter says yes to every split and offload,
-    so the full split / replay / offload / resolve machinery is exercised
-    deterministically without any processes — the mode the property tests
-    drive.  Without it nothing ever splits and the run degenerates to the
-    serial reference.
-    """
-    runner.setup()
-    pending: deque = deque(units)
-    eager = backend.eager_split
-    checkpoint = backend.checkpoint
-    outcomes: List[UnitOutcome] = []
-    while pending:
-        unit = pending.popleft()
-
-        def submit(spawned, parent=unit):
-            spawned = list(spawned)
-            pending.extend(spawned)
-            if checkpoint is not None:
-                checkpoint.record_spawn(parent, spawned)
-
-        splitter = StealSplitter(
-            submit,
-            lambda: False,
-            backend.split_depth,
-            backend.check_interval,
-            backend.offload_min_cost,
-            eager,
-        )
-        outcome = runner.run_unit(unit, splitter)
-        if checkpoint is not None:
-            checkpoint.record_unit(unit, outcome)
-        outcomes.append(outcome)
-    return outcomes
-
-
 class WorkStealingBackend(ExecutionBackend):
-    """Adaptive work-stealing backend with dynamic subtree splitting.
+    """The multi-process backend: a worker pool with dynamic subtree splitting.
 
-    Prefer this over the static-plan ``process`` backend when the database
-    is skewed — a few hot events owning most of the search tree — or when
-    subtree costs are otherwise unpredictable at plan time.  On uniformly
-    distributed work the LPT plan's lower coordination overhead makes the
-    ``process`` backend marginally faster.
+    With one worker, or fewer than two units to run, it runs the units in
+    process instead and starts no worker process.
 
     ``split_depth`` bounds how deep in the search tree frontier nodes may
     still be split off (thieves replay projections along the split path,
@@ -737,33 +670,25 @@ class WorkStealingBackend(ExecutionBackend):
         suffix = ", eager" if self.eager_split else ""
         return f"{self.name}[workers={self.workers}, split_depth={self.split_depth}{suffix}]"
 
-    def _execute(self, runner: Any) -> Tuple[List[Any], MiningStats]:
-        units, pruned_support = runner.plan_units()
-        stats = MiningStats()
-        stats.pruned_support += pruned_support
-        if not units:
-            return [], stats
-        cached: List[UnitOutcome] = []
-        if self.checkpoint is not None:
-            # Reuse whatever a previous (crashed) run journaled under the
-            # same identity; only the remainder is dispatched.  Unit
-            # outcomes are plan-independent, so this is sound even when
-            # the resumed plan differs from the crashed one.
-            cached, units = self.checkpoint.plan_resume(units)
-            if cached:
-                stats.bump("units_resumed", len(cached))
-        if not units:
-            outcomes = []
-        elif self.workers <= 1:
-            outcomes = _run_units_in_process(runner, units, self)
-        else:
-            outcomes = _run_units_with_processes(runner, units, self, stats)
-        # Only freshly executed outcomes donate spans: journal-resumed ones
-        # were recorded by the run that journaled them.
-        tracing.absorb_outcome_spans(outcomes)
-        outcomes = cached + outcomes
-        for outcome in outcomes:
-            stats.merge_counters(outcome.stats)
-        obs_metrics.merge_outcome_metrics(outcomes)
-        records = runner.resolve_units(outcomes)
-        return records, stats
+    def run_units(
+        self, runner: Any, units: List[WorkUnit], counters: MiningStats
+    ) -> List[UnitOutcome]:
+        if self.workers > 1 and len(units) > 1:
+            return _Coordinator(runner, units, self, counters).run()
+        # In process, the pool is never hungry: only ``eager_split`` (the
+        # deterministic stress mode the property tests drive) splits, which
+        # exercises the split / replay / offload / resolve machinery
+        # without any processes.
+        return run_units_in_process(
+            runner,
+            units,
+            self.checkpoint,
+            lambda submit: StealSplitter(
+                submit,
+                lambda: False,
+                self.split_depth,
+                self.check_interval,
+                self.offload_min_cost,
+                self.eager_split,
+            ),
+        )

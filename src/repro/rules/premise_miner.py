@@ -55,8 +55,8 @@ def initial_premise_projections(
     Maps each (allowed) event to a :class:`PositionBlock` of
     ``(sequence_index, position)`` rows, one per sequence containing it,
     pointing at its earliest occurrence.  This is the root level of the
-    premise search; the parallel engine computes it once to plan shards and
-    workers reuse it to seed their subtrees.
+    premise search; the engine computes it once per process and every unit
+    reuses it to seed its subtree.
     """
     builders: Dict[EventId, PositionBlockBuilder] = {}
     for sequence_index, sequence in enumerate(encoded_db):
@@ -164,7 +164,7 @@ class PremiseMiner:
 
         ``projections`` must be the earliest-occurrence projections of
         ``<event>`` (see :func:`initial_premise_projections`); the parallel
-        engine calls this per shard root.
+        engine calls this per root unit.
         """
         yield from self._grow(encoded_db, (event,), projections)
 

@@ -20,8 +20,8 @@ key, if the rule pins one).  Rules specify an *action*:
 ``exit``
     ``os._exit(value or 1)`` — a worker that dies without unwinding.
 ``raise``
-    raise :class:`FaultInjected` — an unexpected exception inside a shard
-    or handler.
+    raise :class:`FaultInjected` — an unexpected exception inside a work
+    unit, a pool shard or a handler.
 ``drop``
     raise :class:`FaultInjected` flagged as a connection drop — the
     server's frame loop turns it into an abrupt close.

@@ -30,7 +30,6 @@ from repro.core.projection import (
     singleton_instances,
 )
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.patterns.closure import (
     infix_closure_violation,
     infix_closure_violation_block,
@@ -39,6 +38,8 @@ from repro.patterns.closure import (
 )
 from repro.patterns.closed_miner import mine_closed_patterns
 from repro.rules.premise_miner import initial_premise_projections
+
+from tests.engine.backends import ShuffledBackend, pool_backends
 
 # Small alphabets make repetitions (the interesting case) likely.
 sequences_strategy = st.lists(
@@ -286,13 +287,13 @@ def test_initial_premise_projections_are_columnar_earliest_occurrences(sequences
 # --------------------------------------------------------------------- #
 # End-to-end: block pipeline across backends, instances vs oracle
 # --------------------------------------------------------------------- #
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=5))
+@given(sequences=sequences_strategy, seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=20, deadline=None)
-def test_mined_instances_match_oracle_across_serial_shard_paths(sequences, max_shards):
+def test_mined_instances_match_oracle_across_serial_shard_paths(sequences, seed):
     db = SequenceDatabase.from_sequences([[str(event) for event in s] for s in sequences])
     serial = mine_closed_patterns(db, min_support=2, collect_instances=True)
     sharded = mine_closed_patterns(
-        db, min_support=2, collect_instances=True, backend=SerialBackend(max_shards=max_shards)
+        db, min_support=2, collect_instances=True, backend=ShuffledBackend(seed)
     )
     assert serial.patterns == sharded.patterns
     for mined in serial.patterns:
@@ -307,13 +308,12 @@ def test_mined_instances_match_oracle_across_serial_shard_paths(sequences, max_s
 def test_mined_instances_survive_the_process_pool(sequences):
     db = SequenceDatabase.from_sequences([[str(event) for event in s] for s in sequences])
     serial = mine_closed_patterns(db, min_support=2, collect_instances=True)
-    pooled = mine_closed_patterns(
-        db, min_support=2, collect_instances=True, backend=ProcessPoolBackend(workers=2)
-    )
-    assert serial.patterns == pooled.patterns
-    for left, right in zip(serial.patterns, pooled.patterns):
-        assert left.instances == right.instances
-        assert all(isinstance(instance, PatternInstance) for instance in left.instances)
+    for backend in pool_backends():
+        pooled = mine_closed_patterns(db, min_support=2, collect_instances=True, backend=backend)
+        assert serial.patterns == pooled.patterns
+        for left, right in zip(serial.patterns, pooled.patterns):
+            assert left.instances == right.instances
+            assert all(isinstance(instance, PatternInstance) for instance in left.instances)
 
 
 def test_shipped_bytes_counter_tracks_collected_instances():

@@ -1,10 +1,16 @@
 """Checkpoint resume through the engine: interrupted mines finish identical."""
 
+import pickle
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.sequence import SequenceDatabase
-from repro.durability.checkpoint import MiningCheckpoint
-from repro.engine import resolve_backend
+from repro.core.stats import MiningStats
+from repro.durability.checkpoint import JOURNAL_NAME, MiningCheckpoint
+from repro.durability.journal import JournalWriter
+from repro.engine import resolve_backend, sharding
+from repro.obs.metrics import DURABILITY_RESUMED_TOTAL, ENGINE_UNITS_TOTAL, REGISTRY
 from repro.jboss.workloads import generate_security_traces
 from repro.patterns.closed_miner import ClosedIterativePatternMiner
 from repro.patterns.config import IterativeMiningConfig
@@ -99,16 +105,80 @@ def test_completed_checkpoint_resumes_everything(tmp_path):
     assert second.stats.visited == first.stats.visited
 
 
-def test_serial_backend_resumes_shards(tmp_path):
+def test_resumed_units_are_not_counted_as_executed(tmp_path):
+    """Journaled outcomes bring their records and counters, not the metric
+    deltas of the run that executed them."""
     database = pattern_database()
-    backend = resolve_backend("serial", None, None)
-    backend.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
-    first = pattern_miner().mine(database, backend=backend)
-    backend.checkpoint.close()
+    for _ in range(2):
+        REGISTRY.reset()
+        backend = resolve_backend("serial", None, None)
+        backend.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
+        result = pattern_miner().mine(database, backend=backend)
+        backend.checkpoint.close()
+    assert result.stats.extra["units_resumed"] == 8
+    assert DURABILITY_RESUMED_TOTAL.value(kind="unit") == 8
+    assert not REGISTRY.snapshot()[ENGINE_UNITS_TOTAL.name]["samples"]
 
+
+def test_serial_backend_resumes_units(tmp_path):
+    database = pattern_database()
+    cold, resumed = interrupted_then_resumed(tmp_path, database, pattern_miner, "serial")
+    assert resumed.as_rows() == cold.as_rows()
+    assert resumed.stats.extra.get("units_resumed", 0) >= 1
+    assert resumed.stats.visited == cold.stats.visited
+
+
+class ShardOutcome(NamedTuple):
+    """Stand-in with the field layout of the retired static-shard outcome."""
+
+    shard_index: int
+    root_results: tuple
+    stats: MiningStats
+    metrics: object = None
+    spans: object = None
+
+
+def legacy_shard_frame(monkeypatch, roots):
+    """A ``shard`` journal frame as the retired static-shard backend wrote it.
+
+    The payload names ``repro.engine.sharding.ShardOutcome``, which no longer
+    exists, exactly like a frame left on disk by that backend.
+    """
+    ShardOutcome.__module__ = sharding.__name__
+    with monkeypatch.context() as patch:
+        patch.setattr(sharding, "ShardOutcome", ShardOutcome, raising=False)
+        payload = pickle.dumps(
+            ("shard", tuple(roots), ShardOutcome(0, (), MiningStats())),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    with pytest.raises(AttributeError):
+        pickle.loads(payload)
+    return payload
+
+
+def test_legacy_shard_frames_are_skipped_and_remined(tmp_path, monkeypatch):
+    database = pattern_database()
+    cold = pattern_miner().mine(database)
+    ckpt_dir = tmp_path / "ckpt"
+    MiningCheckpoint(ckpt_dir, IDENTITY).close()
+    journal = JournalWriter(ckpt_dir / JOURNAL_NAME)
+    journal.append(legacy_shard_frame(monkeypatch, range(8)))
+    # A shard frame whose payload still loads is skipped by its kind.
+    journal.append(pickle.dumps(("shard", (0, 1), "outcome")))
+    journal.close()
+
+    backend = resolve_backend("serial", None, None)
+    backend.checkpoint = MiningCheckpoint(ckpt_dir, IDENTITY)
+    result = pattern_miner().mine(database, backend=backend)
+    backend.checkpoint.close()
+    assert result.as_rows() == cold.as_rows()
+    assert result.stats.visited == cold.stats.visited
+    assert "units_resumed" not in result.stats.extra
+
+    # The re-mined units were journaled next to the skipped frames.
     again = resolve_backend("serial", None, None)
-    again.checkpoint = MiningCheckpoint(tmp_path / "ckpt", IDENTITY)
-    second = pattern_miner().mine(database, backend=again)
+    again.checkpoint = MiningCheckpoint(ckpt_dir, IDENTITY)
+    resumed = pattern_miner().mine(database, backend=again)
     again.checkpoint.close()
-    assert second.as_rows() == first.as_rows()
-    assert second.stats.extra.get("shards_resumed", 0) >= 1
+    assert resumed.as_rows() == cold.as_rows()
+    assert resumed.stats.extra["units_resumed"] == 8

@@ -1,72 +1,86 @@
-"""Unit tests for the execution backends and the deterministic shard plan/merge."""
+"""Unit tests for the execution backends and the deterministic unit plan/merge."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.sequence import SequenceDatabase
 from repro.core.stats import MiningStats
 from repro.engine import (
-    ProcessPoolBackend,
-    RootResult,
     SerialBackend,
-    Shard,
-    ShardOutcome,
+    ShardRunner,
+    UnitOutcome,
+    WorkStealingBackend,
+    WorkUnit,
     merge_outcomes,
-    plan_shards,
     resolve_backend,
 )
+from repro.patterns.closed_miner import ClosedIterativePatternMiner
+from repro.patterns.config import IterativeMiningConfig
+from repro.patterns.miner_base import PatternRecord
+
+
+def _plan(sequences, min_support=2):
+    database = SequenceDatabase.from_sequences(sequences)
+    miner = ClosedIterativePatternMiner(IterativeMiningConfig(min_support=min_support))
+    return ShardRunner(miner, database.encoded).plan_units()
 
 
 class TestPlanShards:
-    def test_empty_roots_yield_no_shards(self):
-        assert plan_shards([], 4) == []
+    """The plan of what ``ShardRunner.run_shard`` executes: one unit per frequent root."""
 
-    def test_single_shard_holds_all_roots_sorted(self):
-        shards = plan_shards([(3, 10), (1, 5), (2, 1)], 1)
-        assert shards == [Shard(0, (1, 2, 3))]
+    def test_empty_roots_yield_no_shards(self):
+        units, pruned = _plan([["a"], ["b"]])
+        assert units == []
+        assert pruned == 2
 
     def test_every_root_assigned_exactly_once(self):
-        roots = [(event, (event * 7) % 13 + 1) for event in range(50)]
-        shards = plan_shards(roots, 8)
-        assigned = [event for shard in shards for event in shard.roots]
-        assert sorted(assigned) == [event for event, _ in roots]
+        sequences = [[str(event % 7) for event in range(seed, seed + 12)] for seed in range(6)]
+        units, _ = _plan(sequences)
+        roots = [unit.root for unit in units]
+        assert sorted(roots) == sorted(set(roots))
+        assert [unit.path for unit in units] == [(root,) for root in roots]
 
     def test_never_more_shards_than_roots(self):
-        shards = plan_shards([(0, 1), (1, 1)], 16)
-        assert len(shards) <= 2
+        units, pruned = _plan([["a", "b", "c"], ["a", "b"], ["c"]])
+        assert len(units) == 3 and pruned == 0
 
     def test_deterministic_for_same_input(self):
-        roots = [(event, (event * 31) % 7 + 1) for event in range(40)]
-        assert plan_shards(roots, 6) == plan_shards(list(roots), 6)
+        sequences = [["a", "b", "a", "c"], ["b", "c", "b"], ["a", "c"]]
+        assert _plan(sequences) == _plan([list(sequence) for sequence in sequences])
 
     def test_heavy_roots_spread_across_shards(self):
-        # Two heavy roots must not share a shard when two shards exist.
-        shards = plan_shards([(0, 100), (1, 100), (2, 1), (3, 1)], 2)
-        heavy_homes = {shard.index for shard in shards for root in shard.roots if root in (0, 1)}
-        assert len(heavy_homes) == 2
+        # Every root is its own unit, in root order, weighted by its instance
+        # count: two heavy roots never share one.
+        units, _ = _plan([["a", "a", "a", "b", "b", "b", "c"], ["a", "b", "c"]])
+        assert [(unit.root, unit.cost_hint) for unit in units] == [(0, 4), (1, 4), (2, 2)]
 
 
 class TestMergeOutcomes:
-    def _outcome(self, shard_index, roots, visited=0):
+    class _Runner:
+        def resolve_units(self, outcomes):
+            records = [record for outcome in outcomes for record in outcome.records]
+            return sorted(records, key=lambda record: record.pattern)
+
+    def _outcome(self, root, visited=0):
         stats = MiningStats()
         stats.visited = visited
-        return ShardOutcome(
-            shard_index,
-            tuple(RootResult(root, tuple(f"r{root}.{i}" for i in range(2))) for root in roots),
-            stats,
-        )
+        records = tuple(PatternRecord((root, tail), 2, None) for tail in range(2))
+        return UnitOutcome(WorkUnit("grow", root, (root,)), records, stats)
 
     def test_records_ordered_by_root_regardless_of_shard_order(self):
-        outcomes = [self._outcome(1, [3, 5]), self._outcome(0, [0, 4]), self._outcome(2, [1])]
-        records, _ = merge_outcomes(outcomes)
-        assert records == [
-            "r0.0", "r0.1", "r1.0", "r1.1", "r3.0", "r3.1", "r4.0", "r4.1", "r5.0", "r5.1",
+        outcomes = [self._outcome(root) for root in (3, 5, 0, 4, 1)]
+        records, _ = merge_outcomes(self._Runner(), outcomes)
+        assert [record.pattern for record in records] == [
+            (root, tail) for root in (0, 1, 3, 4, 5) for tail in range(2)
         ]
         # Order must not depend on completion order either.
-        shuffled, _ = merge_outcomes(list(reversed(outcomes)))
+        shuffled, _ = merge_outcomes(self._Runner(), list(reversed(outcomes)))
         assert shuffled == records
 
     def test_stats_counters_are_summed(self):
-        _, stats = merge_outcomes([self._outcome(0, [0], visited=3), self._outcome(1, [1], visited=4)])
+        _, stats = merge_outcomes(
+            self._Runner(), [self._outcome(0, visited=3), self._outcome(1, visited=4)]
+        )
         assert stats.visited == 7
 
 
@@ -76,28 +90,22 @@ class TestResolveBackend:
         assert isinstance(resolve_backend("auto"), SerialBackend)
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
 
-    def test_auto_with_workers_is_process(self):
+    def test_auto_with_workers_is_stealing(self):
         backend = resolve_backend(None, workers=4)
-        assert isinstance(backend, ProcessPoolBackend)
+        assert isinstance(backend, WorkStealingBackend)
         assert backend.workers == 4
 
     def test_explicit_names(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("process", workers=2), ProcessPoolBackend)
+        assert isinstance(resolve_backend("stealing", workers=2), WorkStealingBackend)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("threads")
+        for name in ("threads", "process"):
+            with pytest.raises(ConfigurationError):
+                resolve_backend(name)
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(workers=0)
+            WorkStealingBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            SerialBackend(max_shards=0)
-
-    def test_shard_counts(self):
-        assert SerialBackend().shard_count(10) == 1
-        assert SerialBackend(max_shards=4).shard_count(10) == 4
-        pool = ProcessPoolBackend(workers=2, oversubscription=4)
-        assert pool.shard_count(100) == 8
-        assert pool.shard_count(3) == 3
+            resolve_backend("serial", workers=2)

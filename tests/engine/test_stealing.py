@@ -1,6 +1,6 @@
 """Work-stealing backend: bit-identical output under every split policy.
 
-The stealing engine's contract extends the shard engine's: not only must
+The stealing engine's contract extends the serial one's: not only must
 the backend be invisible in the output, it must stay invisible under
 *dynamic subtree splitting* — any frontier node may be carved off as a
 stolen unit, closure checks and consequent growth may be offloaded to
@@ -44,8 +44,8 @@ def skewed_database() -> SequenceDatabase:
 
     Event ``h`` repeats densely through every trace (a deep, heavy
     subtree), while the remaining events are sparse one-off roots — the
-    shape that defeats static LPT planning, because the plan cannot split
-    the single hot root's subtree.
+    shape that defeats any fixed up-front plan, because only splitting
+    can spread the single hot root's subtree.
     """
     sequences = []
     for shift in range(6):
@@ -174,20 +174,24 @@ def test_repeated_process_stealing_runs_are_deterministic(skewed_database):
 # --------------------------------------------------------------------- #
 class TestResolveStealingBackend:
     def test_resolve_by_name(self):
-        backend = resolve_backend("stealing", workers=4, split_depth=5)
-        assert isinstance(backend, WorkStealingBackend)
-        assert backend.workers == 4
-        assert backend.split_depth == 5
-        assert "stealing" in backend.describe()
+        # 'auto' with more than one worker is the stealing backend.
+        for name in ("stealing", "auto"):
+            backend = resolve_backend(name, workers=4, split_depth=5)
+            assert isinstance(backend, WorkStealingBackend)
+            assert backend.workers == 4
+            assert backend.split_depth == 5
+            assert "stealing" in backend.describe()
 
     def test_split_depth_defaults(self):
         backend = resolve_backend("stealing", workers=2)
         assert backend.split_depth >= 1
+        assert resolve_backend("auto", workers=2).split_depth == backend.split_depth
 
     def test_split_depth_rejected_for_other_backends(self):
-        for name in ("serial", "process", "auto"):
+        # 'auto' without more than one worker resolves to the serial backend.
+        for name, workers in (("serial", None), ("serial", 2), ("auto", None), ("auto", 1)):
             with pytest.raises(ConfigurationError):
-                resolve_backend(name, workers=2, split_depth=4)
+                resolve_backend(name, workers=workers, split_depth=4)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,14 +6,16 @@ roots and merging cached records) must not be observable.  The hypothesis
 suite drives random databases and random append batches through refresh
 after refresh, comparing every intermediate result against a from-scratch
 mine of the store's snapshot — for full patterns, closed patterns and both
-rule miners, on the serial, process-pool and work-stealing backends.
+rule miners, on the serial backend and on the work-stealing backend both in
+process and with worker processes.
 """
 
+import multiprocessing.process
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import ProcessPoolBackend, WorkStealingBackend
+from repro.engine import WorkStealingBackend
 from repro.ingest import IncrementalMiner, TraceStore
 from repro.patterns.closed_miner import ClosedIterativePatternMiner, mine_closed_patterns
 from repro.patterns.config import IterativeMiningConfig
@@ -24,6 +26,8 @@ from repro.rules.nonredundant_miner import (
     NonRedundantRecurrentRuleMiner,
     mine_non_redundant_rules,
 )
+
+from tests.engine.backends import pool_backends
 
 trace_strategy = st.lists(
     st.integers(min_value=0, max_value=4).map(str), min_size=1, max_size=10
@@ -147,28 +151,28 @@ def test_incremental_parity_on_stealing_backend(batches):
 
 
 # --------------------------------------------------------------------- #
-# Real process pool: fewer examples (each refresh forks workers).
+# Real worker processes: fewer examples (each refresh forks workers).
 # --------------------------------------------------------------------- #
 @given(batches=st.lists(st.lists(trace_strategy, min_size=1, max_size=3), min_size=2, max_size=2))
 @settings(max_examples=3, deadline=None)
 def test_incremental_parity_on_process_backend(batches):
-    backend = ProcessPoolBackend(workers=2)
-    _check_parity(
-        batches,
-        ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2)),
-        lambda db: mine_closed_patterns(db, min_support=2),
-        "patterns",
-        backend=backend,
-    )
-    _check_parity(
-        batches,
-        NonRedundantRecurrentRuleMiner(
-            RuleMiningConfig(min_s_support=2, min_confidence=0.5)
-        ),
-        lambda db: mine_non_redundant_rules(db, min_s_support=2, min_confidence=0.5),
-        "rules",
-        backend=backend,
-    )
+    for backend in pool_backends():
+        _check_parity(
+            batches,
+            ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2)),
+            lambda db: mine_closed_patterns(db, min_support=2),
+            "patterns",
+            backend=backend,
+        )
+        _check_parity(
+            batches,
+            NonRedundantRecurrentRuleMiner(
+                RuleMiningConfig(min_s_support=2, min_confidence=0.5)
+            ),
+            lambda db: mine_non_redundant_rules(db, min_s_support=2, min_confidence=0.5),
+            "rules",
+            backend=backend,
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -199,6 +203,25 @@ def test_skewed_append_remines_strictly_fewer_roots(tmp_path):
     assert 0 < report.roots_remined < report.roots_total
     full = mine_closed_patterns(store.snapshot(), min_support=2)
     assert result.patterns == full.patterns
+
+
+def test_one_root_refresh_on_two_workers_starts_no_process(tmp_path, monkeypatch):
+    """A refresh with a single touched root has one unit to run: the
+    multi-process backend runs it in process instead of starting a pool."""
+    store = _skewed_store(str(tmp_path))
+    miner = IncrementalMiner(
+        ClosedIterativePatternMiner(IterativeMiningConfig(min_support=2)), store
+    )
+    miner.refresh()
+    store.append_batch([["a", "a"], ["a"]])
+
+    def refuse(process):
+        raise AssertionError(f"worker process started: {process.name}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    result, report = miner.refresh(backend=WorkStealingBackend(workers=2))
+    assert report.roots_remined == 1
+    assert result.patterns == mine_closed_patterns(store.snapshot(), min_support=2).patterns
 
 
 def test_refresh_without_new_batches_remines_nothing(tmp_path):

@@ -1,10 +1,10 @@
 """Registry merge determinism across execution backends.
 
 The engine's workers record their measurements into throwaway delta
-registries shipped inside each :class:`UnitOutcome` / :class:`ShardOutcome`
-and merged exactly once by the coordinator.  These tests pin the resulting
-contract: whatever the backend — single process, forked pool, stealing
-threads — the merged registry equals what a single-process run records,
+registries shipped inside each :class:`UnitOutcome` and merged exactly
+once by the coordinator.  These tests pin the resulting contract: whatever
+the backend — single process, forked worker pool, eager splitting — the
+merged registry equals what a single-process run records,
 and internal accounting (histogram counts vs. counters vs. ``MiningStats``)
 always reconciles, proving every delta arrived exactly once.
 """
@@ -12,12 +12,9 @@ always reconciles, proving every delta arrived exactly once.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sequence import SequenceDatabase
-from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.engine.stealing import WorkStealingBackend
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
-    ENGINE_SHARD_SECONDS,
-    ENGINE_SHARDS_TOTAL,
     ENGINE_UNIT_SECONDS,
     ENGINE_UNITS_TOTAL,
     MINING_COUNTER_TOTAL,
@@ -25,6 +22,8 @@ from repro.obs.metrics import (
     REGISTRY,
 )
 from repro.patterns.closed_miner import mine_closed_patterns
+
+from tests.engine.backends import ShuffledBackend, pool_backends
 
 sequences_strategy = st.lists(
     st.lists(st.integers(min_value=0, max_value=4).map(str), min_size=1, max_size=12),
@@ -47,21 +46,31 @@ def _mine_and_scrape(database, backend=None):
     return result, mirror
 
 
-@given(sequences=sequences_strategy, max_shards=st.integers(min_value=2, max_value=5))
+def _assert_units_arrived_once(result):
+    """Every unit's delta arrived exactly once: per kind, the unit histogram
+    count equals the unit counter (zero units only when nothing was
+    frequent)."""
+    snapshot = REGISTRY.snapshot()
+    units_by_kind = {
+        tuple(key)[0]: value for key, value in snapshot[ENGINE_UNITS_TOTAL.name]["samples"]
+    }
+    for (kind,), counts, _, count in snapshot[ENGINE_UNIT_SECONDS.name]["samples"]:
+        assert count == units_by_kind[kind]
+        assert sum(counts) == count
+    if result.stats.visited:
+        assert sum(units_by_kind.values()) >= 1
+
+
+@given(sequences=sequences_strategy, seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=40, deadline=None)
-def test_sharded_serial_mirror_matches_single_process(sequences, max_shards):
+def test_sharded_serial_mirror_matches_single_process(sequences, seed):
     database = SequenceDatabase.from_sequences(sequences)
     _, single = _mine_and_scrape(database)
-    result, sharded = _mine_and_scrape(database, SerialBackend(max_shards=max_shards))
+    result, sharded = _mine_and_scrape(database, ShuffledBackend(seed))
     assert sharded == single
     for name in SEARCH_COUNTERS:
         assert sharded[name] == getattr(result.stats, name)
-    # Every shard's delta arrived exactly once: the per-shard histogram and
-    # the shard counter agree (zero shards only when nothing was frequent).
-    shards = ENGINE_SHARDS_TOTAL.value()
-    assert ENGINE_SHARD_SECONDS.sample()[2] == shards
-    if result.stats.visited:
-        assert shards >= 1
+    _assert_units_arrived_once(result)
 
 
 @given(sequences=sequences_strategy)
@@ -70,14 +79,12 @@ def test_process_pool_deltas_merge_like_single_process(sequences):
     """Worker registries crossing the pickle boundary merge losslessly."""
     database = SequenceDatabase.from_sequences(sequences)
     _, single = _mine_and_scrape(database)
-    result, pooled = _mine_and_scrape(database, ProcessPoolBackend(workers=2))
-    assert pooled == single
-    for name in SEARCH_COUNTERS:
-        assert pooled[name] == getattr(result.stats, name)
-    shards = ENGINE_SHARDS_TOTAL.value()
-    assert ENGINE_SHARD_SECONDS.sample()[2] == shards
-    if result.stats.visited:
-        assert shards >= 1
+    for backend in pool_backends():
+        result, pooled = _mine_and_scrape(database, backend)
+        assert pooled == single
+        for name in SEARCH_COUNTERS:
+            assert pooled[name] == getattr(result.stats, name)
+        _assert_units_arrived_once(result)
 
 
 def test_stealing_deltas_reconcile_with_stats():
@@ -98,13 +105,7 @@ def test_stealing_deltas_reconcile_with_stats():
         assert MINING_COUNTER_TOTAL.value(name=name) == getattr(result.stats, name)
     for key, value in result.stats.extra.items():
         assert MINING_EXTRA_TOTAL.value(key=key) == value
-    snapshot = REGISTRY.snapshot()
-    unit_samples = snapshot[ENGINE_UNITS_TOTAL.name]["samples"]
-    units_by_kind = {key[0]: value for key, value in ((tuple(k), v) for k, v in unit_samples)}
-    assert sum(units_by_kind.values()) >= 1
-    for (kind,), counts, _, count in snapshot[ENGINE_UNIT_SECONDS.name]["samples"]:
-        assert count == units_by_kind[kind]
-        assert sum(counts) == count
+    _assert_units_arrived_once(result)
 
 
 def test_muted_runs_ship_no_deltas():
@@ -112,10 +113,10 @@ def test_muted_runs_ship_no_deltas():
     REGISTRY.reset()
     obs_metrics.set_enabled(False)
     try:
-        mine_closed_patterns(database, min_support=2, backend=SerialBackend(max_shards=2))
+        mine_closed_patterns(database, min_support=2)
     finally:
         obs_metrics.set_enabled(True)
-    assert ENGINE_SHARDS_TOTAL.value() == 0
+    assert not REGISTRY.snapshot()[ENGINE_UNITS_TOTAL.name]["samples"]
     assert MINING_COUNTER_TOTAL.value(name="visited") == 0
 
 

@@ -80,9 +80,16 @@ def test_mine_patterns_with_parallel_workers(tmp_path, capsys):
 
     assert main(base + ["--workers", "2"]) == 0
     parallel_output = capsys.readouterr().out
-    assert "backend=process[workers=2]" in parallel_output
+    assert "backend=stealing[workers=2, split_depth=8]" in parallel_output
     # The mined table must be identical; only the summary line may differ.
     assert serial_output.splitlines()[1:] == parallel_output.splitlines()[1:]
+
+    # 'auto' with several workers is the stealing backend, so it takes a
+    # split depth; the serial search does not.
+    assert main(base + ["--workers", "2", "--split-depth", "4"]) == 0
+    assert "split_depth=4" in capsys.readouterr().out
+    assert main(base + ["--split-depth", "4"]) != 0
+    assert "--split-depth" in capsys.readouterr().err
 
 
 def test_mine_rules_with_explicit_backend(tmp_path, capsys):
@@ -98,13 +105,13 @@ def test_mine_rules_with_explicit_backend(tmp_path, capsys):
             "--min-confidence",
             "0.5",
             "--backend",
-            "process",
+            "stealing",
             "--workers",
             "2",
         ]
     )
     assert code == 0
-    assert "backend=process[workers=2]" in capsys.readouterr().out
+    assert "backend=stealing[workers=2, split_depth=8]" in capsys.readouterr().out
 
 
 def test_mine_patterns_full_flag(tmp_path, capsys):
